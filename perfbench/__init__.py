@@ -1,0 +1,5 @@
+"""Seeded, single-process, closed-loop benchmark of the apery package.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see perfbench/NOTES.md.
+"""
