@@ -114,7 +114,8 @@ def apery_closed(p: FamilyParams, cap: int | None = None) -> AperySet:
     same residue cap as the oracle applies.
     """
     _require_closed(p)
-    return AperySet(p.a, _apery_values_formula(p, cap=cap))
+    return AperySet(p.a, _apery_values_formula(p, cap=cap),
+                    build_generators(p).elements)
 
 
 def _apery_values_formula(p: FamilyParams, cap: int | None = None) -> tuple[int, ...]:
@@ -214,8 +215,14 @@ def pseudo_frobenius_closed(b: int, n: int, d: int = 1) -> tuple[list[int], int]
 
 
 def report_closed(p: FamilyParams, cap: int | None = None) -> SemigroupReport:
-    """Closed-form report: F and g by formula; PF by the specialized formula
-    when (a, k) matches the repunit shape, else from the closed Apery set."""
+    """Closed-form report: F and g by formula everywhere.
+
+    PF and type come from the specialized formula when (a, k) has the
+    repunit shape; otherwise from the closed Apery set, which carries the
+    family generators, by the O(a*k) successor test of
+    pseudo_frobenius_from_apery.  The latter materializes a list of length
+    a, so the residue cap applies off the repunit shape.
+    """
     frob = frobenius_closed(p)
     genus = genus_closed(p)
     n = repunit_specialization(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -83,16 +83,41 @@ def _as_generators(gens) -> GeneratorList:
     return gens if isinstance(gens, GeneratorList) else GeneratorList(gens)
 
 
+def _successor_steps(generators: Iterable[int], a: int) -> tuple[int, ...]:
+    """Smallest generator of each nonzero residue class mod a, ascending.
+
+    A generator divisible by a never leads to another class, and a larger
+    generator in a class already covered is the smaller one plus a multiple
+    of a, so it is dominated; both are dropped.
+    """
+    smallest: dict[int, int] = {}
+    for g in generators:
+        r = g % a
+        if r and (r not in smallest or g < smallest[r]):
+            smallest[r] = g
+    return tuple(sorted(smallest.values()))
+
+
 @dataclass(frozen=True)
 class AperySet:
     """Apery set of the least generator: minima[r] is the least element = r mod a.
 
-    Cheap structural invariants are enforced here; the semantic minimality of
-    each entry is the oracle's job and is covered by the test suite.
+    generators is a generating set of the same semigroup, used by
+    pseudo_frobenius_from_apery; it takes no part in equality or hashing,
+    which stay on (modulus, minima).  When none is given it defaults to
+    minima[1:], since the Apery set together with a generates the semigroup;
+    that default is correct for any hand-built set but costs up to O(a^2)
+    in the pseudo-Frobenius step, so callers that know the generators pass
+    them.
+
+    Cheap structural invariants are enforced here, including that every
+    supplied generator lies in the semigroup; the semantic minimality of each
+    entry is the oracle's job and is covered by the test suite.
     """
 
     modulus: int
     minima: tuple[int, ...]
+    generators: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "minima", tuple(self.minima))
@@ -107,6 +132,12 @@ class AperySet:
             if n < 0 or n % self.modulus != r:
                 raise ConsistencyError(
                     f"minima[{r}] = {n} is not congruent to {r} mod {self.modulus}")
+        gens = tuple(self.generators) or self.minima[1:]
+        for g in gens:
+            if g < 1 or g < self.minima[g % self.modulus]:
+                raise ConsistencyError(
+                    f"generator {g} is not a positive element of the semigroup")
+        object.__setattr__(self, "generators", gens)
 
 
 @dataclass(frozen=True)
@@ -139,7 +170,8 @@ def apery_set(gens, cap: int | None = None) -> AperySet:
     generator g contributes edges r -> (r + g) mod a of weight g.  The
     shortest distance from 0 to r is exactly the least semigroup element
     congruent to r mod a.  Multiple generators sharing a residue class are
-    pruned to the smallest, which dominates pointwise.
+    pruned to the smallest, which dominates pointwise; the pruned steps are
+    stored as the result's generators for the pseudo-Frobenius step.
     """
     gens = _as_generators(gens)
     a = gens.least
@@ -150,14 +182,7 @@ def apery_set(gens, cap: int | None = None) -> AperySet:
     if a == 1:
         return AperySet(1, (0,))
 
-    edges: dict[int, int] = {}
-    for g in gens.elements[1:]:
-        r = g % a
-        if r == 0:
-            continue  # self-loop, never improves a distance
-        if r not in edges or g < edges[r]:
-            edges[r] = g
-    steps = sorted(edges.values())
+    steps = _successor_steps(gens.elements[1:], a)
 
     INF = None
     dist: list[int | None] = [INF] * a
@@ -176,7 +201,7 @@ def apery_set(gens, cap: int | None = None) -> AperySet:
     if any(d is None for d in dist):
         # unreachable residue would contradict gcd(gens) = 1
         raise ConsistencyError("residue graph not fully reachable despite gcd 1")
-    return AperySet(a, tuple(dist))
+    return AperySet(a, tuple(dist), steps)
 
 
 def frobenius_from_apery(ape: AperySet) -> int:
@@ -229,27 +254,22 @@ def pseudo_frobenius_from_apery(ape: AperySet, cap: int | None = None) -> list[i
     """Pseudo-Frobenius numbers: {w - a : w maximal in the Apery set}.
 
     Maximality is under the partial order w <= w' iff w' - w is in the
-    semigroup, decided by pairwise membership tests (O(a^2) worst case, no
-    pruning beyond early exit; correctness over speed at oracle scale).
+    semigroup.  The Apery set is closed downward under that order, so w is
+    maximal iff w + g lies outside it for every generator g not divisible
+    by a, i.e. minima[(w + g) % a] != w + g (Rosales and Garcia-Sanchez,
+    Numerical Semigroups, Springer 2009).  That is O(a*k) lookups for k
+    generators in ape.generators; a hand-built set without generators falls
+    back to minima[1:] and costs up to O(a^2).
     """
     a = ape.modulus
     if a > residue_cap(cap):
         raise OracleInfeasibleError(
             f"modulus {a} exceeds the residue cap {residue_cap(cap)}")
-
-    # only strictly larger elements can dominate; scanning the largest first
-    # finds a dominator quickly for small w (big differences are past F)
-    by_size = sorted(ape.minima, reverse=True)
-
-    def is_maximal(w: int) -> bool:
-        for w2 in by_size:
-            if w2 <= w:
-                return True
-            if contains(ape, w2 - w):
-                return False
-        return True
-
-    return sorted(w - a for w in ape.minima if is_maximal(w))
+    minima = ape.minima
+    maximal = minima
+    for g in _successor_steps(ape.generators, a):
+        maximal = [w for w in maximal if minima[(w + g) % a] != w + g]
+    return sorted(w - a for w in maximal)
 
 
 def semigroup_report(gens, cap: int | None = None) -> SemigroupReport:

@@ -8,8 +8,8 @@ Both emit the same report type, serializable for the CLI.
 """
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from random import Random
@@ -199,7 +199,7 @@ def run_single(p: FamilyParams, *, check_apery: bool = True,
             closed_pf = tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
         else:
             closed_pf = tuple(pseudo_frobenius_from_apery(
-                AperySet(p.a, closed_minima), cap=cap))
+                AperySet(p.a, closed_minima, gens.elements), cap=cap))
         if closed_pf != oracle_pf:
             records.append(Mismatch(params, "pf",
                                     list(closed_pf), list(oracle_pf)))
@@ -234,7 +234,14 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     deterministic for a fixed grid regardless of jobs (elapsed time aside);
     inject_mismatch corrupts the first case's Frobenius value to exercise
     the failure path end to end.
+
+    jobs < 1 raises InvalidParamsError.  The sweep uses
+    min(jobs, os.cpu_count(), number of cases) worker processes and runs in
+    this process when that is 1, so no request starts more processes than
+    the machine has cores.
     """
+    if jobs < 1:
+        raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
     cases = []
     skips = {SKIP_GCD: 0, SKIP_HYPOTHESIS: 0, SKIP_INFEASIBLE: 0}
@@ -259,8 +266,12 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
                                   inject_mismatch and first))
                     first = False
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    if workers > 1:
+        # imported here: the pool machinery costs start-up time and memory
+        # that every other use of the package would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases, chunksize=64))
     else:
         results = [_run_case(case) for case in cases]

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -289,6 +290,13 @@ class TestVerifyCommand:
         assert code == EXIT_MISMATCH
         assert "frobenius-injected" in out
 
+    def test_jobs_below_one_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--a-max", "6",
+                                 "--budget", "3", "--jobs", "0")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "jobs" in err
+
     def test_seed_changes_nothing_on_clean_grid(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "verify", "--a-max", "8",
                                    "--budget", "6", "--seed", "1",
@@ -339,3 +347,16 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == EXIT_OK
         assert result.stdout == "29\n"
+
+    def test_import_does_not_load_process_pool(self):
+        # the pool machinery is imported only by cross_check(jobs > 1)
+        import apery
+        src = os.path.dirname(os.path.dirname(apery.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, apery, apery.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"

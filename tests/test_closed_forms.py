@@ -13,6 +13,7 @@ from apery import (
     apery_set,
     build_generators,
     frobenius_closed,
+    gu_ze,
     frobenius_from_apery,
     genus_closed,
     genus_from_apery,
@@ -26,6 +27,7 @@ from apery import (
     repunit_value,
     residue_minimum,
     semigroup_report,
+    thabit,
 )
 
 import oracle_ref
@@ -244,6 +246,15 @@ class TestReportClosed:
         assert report.pf == oracle.pf
         assert report.type == oracle.type
         assert report.engine != oracle.engine
+
+    def test_matches_oracle_off_repunit_shape_at_large_a(self):
+        for p in (thabit(10), gu_ze(3, 6)):
+            assert 1000 < p.a < 5000
+            assert repunit_specialization(p) is None
+            report = report_closed(p)
+            oracle = semigroup_report(build_generators(p))
+            assert (report.frobenius, report.genus, report.pf, report.type) \
+                == (oracle.frobenius, oracle.genus, oracle.pf, oracle.type)
 
     def test_huge_parameters_stay_exact(self):
         # far beyond anything the oracle could touch

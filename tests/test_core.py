@@ -1,14 +1,20 @@
 """Oracle engine tests: Apery sets by shortest path, quantities derived
 from them, and agreement with the naive sieve reference."""
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apery import (
     AperySet,
+    ConsistencyError,
+    FamilyParams,
     GeneratorList,
     InvalidParamsError,
     OracleInfeasibleError,
+    apery_closed,
     apery_set,
+    build_generators,
     contains,
     frobenius_from_apery,
     gaps,
@@ -124,6 +130,20 @@ class TestDerivedQuantities:
             assert pseudo_frobenius_from_apery(apery_set(gens)) == \
                 oracle_ref.ref_pf(gens)
 
+    def test_generators_do_not_affect_equality(self):
+        ape = apery_set([5, 11, 23])
+        assert ape.generators == (11, 23)
+        hand_built = AperySet(5, ape.minima)
+        assert hand_built.generators == ape.minima[1:]
+        assert hand_built == ape
+        assert hash(hand_built) == hash(ape)
+
+    def test_generator_outside_semigroup_rejected(self):
+        minima = apery_set([5, 11, 23]).minima
+        for bad in ((7,), (11, 23, 4), (0,), (-6,)):
+            with pytest.raises(ConsistencyError):
+                AperySet(5, minima, bad)
+
     def test_report_fields(self):
         report = semigroup_report([5, 11, 23])
         assert report.engine == "oracle"
@@ -159,3 +179,53 @@ class TestAgainstSieve:
         assert frobenius_from_apery(ape) == oracle_ref.ref_frobenius(gens)
         assert genus_from_apery(ape) == oracle_ref.ref_genus(gens)
         assert gaps(ape) == oracle_ref.ref_gaps(gens)
+
+
+def _pf_generator_set(rng: Random, shape: int) -> list[int]:
+    """Seeded generator set; shapes 1-4 add the degenerate inputs the
+    successor test must tolerate."""
+    least = rng.randint(2, 20)
+    gens = [least] + [rng.randint(least + 1, 120)
+                      for _ in range(rng.randint(1, 4))]
+    if shape == 1:  # redundant: a sum of two generators
+        gens.append(rng.choice(gens) + rng.choice(gens))
+    elif shape == 2:  # a second generator in an occupied residue class
+        gens.append(rng.choice(gens[1:]) + least * rng.randint(1, 4))
+    elif shape == 3:  # a multiple of the least generator
+        gens.append(least * rng.randint(2, 5))
+    elif shape == 4:  # 1 makes the semigroup all of N
+        gens.append(1)
+    if not oracle_ref.coprime(gens):
+        gens.append(least + 1)  # consecutive integers force gcd 1
+    return sorted(set(gens))
+
+
+class TestPseudoFrobeniusSuccessorTest:
+    def test_matches_definition_on_seeded_sets(self):
+        rng = Random(2009)
+        for i in range(200):
+            gens = _pf_generator_set(rng, i % 5)
+            ape = apery_set(gens)
+            pf = pseudo_frobenius_from_apery(ape)
+            assert pf == oracle_ref.ref_pf(gens), gens
+            # without generators the Apery set itself is the fallback
+            hand_built = AperySet(ape.modulus, ape.minima)
+            assert pseudo_frobenius_from_apery(hand_built) == pf, gens
+
+    def test_unpruned_generators_give_the_same_pf(self):
+        gens = [6, 9, 10, 12, 15, 16, 19, 36]  # redundant, same class, 6k
+        ape = apery_set(gens)
+        unpruned = AperySet(ape.modulus, ape.minima, tuple(gens))
+        assert pseudo_frobenius_from_apery(unpruned) == \
+            pseudo_frobenius_from_apery(ape) == oracle_ref.ref_pf(gens)
+
+    def test_closed_apery_set_still_equals_oracle(self):
+        for a, b, d, k in [(7, 3, 2, 2), (10, 2, 3, 3), (31, 2, 1, 4),
+                           (40, 5, 1, 2)]:
+            p = FamilyParams(a=a, b=b, d=d, k=k)
+            closed = apery_closed(p)
+            oracle = apery_set(build_generators(p))
+            assert closed == oracle
+            assert closed.generators != oracle.generators
+            assert pseudo_frobenius_from_apery(closed) == \
+                pseudo_frobenius_from_apery(oracle)

@@ -1,6 +1,8 @@
 """Verification harness tests: grid sweeps, skip accounting, injection,
 property suite determinism."""
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -113,6 +115,45 @@ class TestCrossCheck:
         assert serial.cases_passed == parallel.cases_passed
         assert serial.skipped == parallel.skipped
         assert serial.mismatches == parallel.mismatches
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(InvalidParamsError):
+                cross_check(GridSpec(a_range=(2, 4)), jobs=jobs)
+
+    def test_worker_count_clamped(self, monkeypatch):
+        # records the pool size and maps in process: no real pool starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        grid = GridSpec(a_range=(2, 15))
+        one_case = GridSpec(a_range=(2, 2), b_range=(2, 2), d_range=(1, 1),
+                            k_range=(1, 1))
+        serial = cross_check(grid, jobs=1)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cross_check(grid, jobs=10**6).cases_run == serial.cases_run
+        assert cross_check(grid, jobs=3).cases_run == serial.cases_run
+        assert cross_check(one_case, jobs=4).cases_run == 1
+        assert sizes == [4, 3]  # the one-case sweep ran in process
+
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cross_check(grid, jobs=8).mismatches == serial.mismatches
+        assert sizes == [4, 3]
 
     def test_report_serializes(self):
         report = cross_check(GridSpec(a_range=(2, 8)))
