@@ -37,8 +37,7 @@ __all__ = [
     "report_closed", "repunit", "repunit_coins", "repunit_general_frobenius",
     "repunit_general_genus", "repunit_params", "repunit_specialization",
     "repunit_value", "residue_minimum", "resolve", "run_single",
-    "semigroup_report", "song_gt", "thabit", "thabit_base_b", "verify",
-    "weight",
+    "semigroup_report", "song_gt", "thabit", "thabit_base_b", "weight",
 ]
 
 __version__ = "1.0.0"

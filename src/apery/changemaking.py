@@ -42,13 +42,23 @@ def _as_coins(coins) -> CoinSystem:
     return coins if isinstance(coins, CoinSystem) else CoinSystem(coins)
 
 
+def repunit_value(b: int, n: int) -> int:
+    """(b^n - 1)/(b - 1): the base-b number written as n ones."""
+    return (b**n - 1) // (b - 1)
+
+
+def _coin_values(b: int, k: int) -> list[int]:
+    # the repunit denominations 1, b+1, ..., (b^k-1)/(b-1), unvalidated
+    return [repunit_value(b, i) for i in range(1, k + 1)]
+
+
 def repunit_coins(b: int, k: int) -> CoinSystem:
     """The sequence (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)) as a coin system."""
     if b < 2:
         raise InvalidParamsError(f"base must be >= 2, got {b}")
     if k < 1:
         raise InvalidParamsError(f"length must be >= 1, got {k}")
-    return CoinSystem((b**i - 1) // (b - 1) for i in range(1, k + 1))
+    return CoinSystem(_coin_values(b, k))
 
 
 def _check_amount(M: int) -> None:
@@ -68,35 +78,38 @@ def opt_count(coins, M: int, cap: int | None = None) -> int:
     if M + 1 > limit:
         raise OracleInfeasibleError(
             f"amount {M} needs {M + 1} DP cells, above the cap {limit}")
-    dp = list(range(M + 1))  # unit-coin-only counts as the starting point
-    for c in coins.denominations[1:]:
-        if c > M:
+    return _opt_counts_upto(coins.denominations, M)[M]
+
+
+def _opt_counts_upto(denoms: Sequence[int], limit: int) -> list[int]:
+    # min-coin counts for every amount 0..limit; denoms ascend from the unit
+    # coin, whose counts seed the table
+    dp = list(range(limit + 1))
+    for c in denoms[1:]:
+        if c > limit:
             break
-        for x in range(c, M + 1):
+        for x in range(c, limit + 1):
             v = dp[x - c] + 1
             if v < dp[x]:
                 dp[x] = v
-    return dp[M]
+    return dp
 
 
 def greedy_count(coins, M: int) -> int:
     """Number of coins the largest-first greedy strategy uses for M."""
     coins = _as_coins(coins)
     _check_amount(M)
-    n = 0
-    for c in reversed(coins.denominations):
-        q, M = divmod(M, c)
-        n += q
-    return n
+    return _greedy_prefix(coins.denominations, M)
 
 
 def _greedy_prefix(denoms: Sequence[int], M: int) -> int:
-    # greedy count over an already-sorted prefix of denominations
+    # greedy count over denominations ascending from the unit coin, which
+    # takes the remainder; unvalidated, for callers that checked their input
     n = 0
-    for c in reversed(denoms):
+    for c in denoms[:0:-1]:
         q, M = divmod(M, c)
         n += q
-    return n
+    return n + M
 
 
 class Orderliness(NamedTuple):
@@ -165,7 +178,7 @@ class GreedyPresentation:
 
     def value(self) -> int:
         """The represented amount."""
-        return sum(x * (self.b**i - 1) // (self.b - 1)
+        return sum(x * repunit_value(self.b, i)
                    for i, x in enumerate(self.digits, start=1))
 
 
@@ -182,7 +195,7 @@ def greedy_presentation(b: int, k: int, M: int) -> GreedyPresentation:
     _check_amount(M)
     digits = [0] * k
     for i in range(k, 0, -1):
-        digits[i - 1], M = divmod(M, (b**i - 1) // (b - 1))
+        digits[i - 1], M = divmod(M, repunit_value(b, i))
     return GreedyPresentation(b, k, tuple(digits))
 
 

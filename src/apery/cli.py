@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .changemaking import CoinSystem, is_orderly
 from .closed_forms import FamilyParams, apery_closed, build_generators, \
     report_closed
-from .core import GeneratorList, apery_set, gaps as gap_list, \
-    semigroup_report
+from .core import AperySet, GeneratorList, SemigroupReport, apery_set, \
+    gaps as gap_list, semigroup_report
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FAMILY_NAMES, FamilySpec, catalog, resolve
 from .verify import GridSpec, cross_check, property_suite
@@ -114,16 +114,12 @@ class SystemExit2(Exception):
     """Usage error carrier; caught in main and mapped to EXIT_INVALID."""
 
 
-def _parse_gens(text: str) -> GeneratorList:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InvalidParamsError("empty generator list")
+def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        values = [int(p) for p in parts]
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise InvalidParamsError(
-            f"generators must be comma-separated decimals, got {text!r}")
-    return GeneratorList(values)
+            f"{what} must be comma-separated decimals, got {text!r}")
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
@@ -138,13 +134,24 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
                      default="plain")
 
 
+def _evaluate(source: FamilyParams | GeneratorList, engine: str,
+              want_apery: bool = False
+              ) -> tuple[SemigroupReport, AperySet | None]:
+    # the one engine dispatch; a generator list goes to the oracle
+    if engine == "closed":
+        return report_closed(source), \
+            apery_closed(source) if want_apery else None
+    gens = build_generators(source) if isinstance(source, FamilyParams) \
+        else source
+    return semigroup_report(gens), apery_set(gens) if want_apery else None
+
+
 def _record_for(args, want_apery: bool, want_gaps: bool) -> OutputRecord:
     if args.gens is not None:
         if any(v is not None for v in (args.a, args.b, args.d, args.k)):
             raise InvalidParamsError("--gens excludes --a/--b/--d/--k")
-        gens = _parse_gens(args.gens)
-        report = semigroup_report(gens)
-        ape = apery_set(gens) if want_apery or want_gaps else None
+        gens = GeneratorList(_parse_ints(args.gens, "generators"))
+        report, ape = _evaluate(gens, "oracle", want_apery or want_gaps)
         echo = {"gens": list(gens.elements)}
     else:
         missing = [n for n in "abdk" if getattr(args, n) is None]
@@ -153,13 +160,7 @@ def _record_for(args, want_apery: bool, want_gaps: bool) -> OutputRecord:
                 "need --gens or all of --a/--b/--d/--k (missing: "
                 + ", ".join(missing) + ")")
         p = FamilyParams(a=args.a, b=args.b, d=args.d, k=args.k)
-        if args.engine == "closed":
-            report = report_closed(p)
-            ape = apery_closed(p) if want_apery or want_gaps else None
-        else:
-            gens = build_generators(p)
-            report = semigroup_report(gens)
-            ape = apery_set(gens) if want_apery or want_gaps else None
+        report, ape = _evaluate(p, args.engine, want_apery or want_gaps)
         echo = {"a": p.a, "b": p.b, "d": p.d, "k": p.k}
     return OutputRecord(
         input=echo, engine=report.engine, frobenius=report.frobenius,
@@ -235,10 +236,7 @@ def _cmd_quantity(args, field: str) -> int:
 
 def _family_record(name: str, params: dict, engine: str) -> OutputRecord:
     p = resolve(FamilySpec(name, params))
-    if engine == "closed":
-        report = report_closed(p)
-    else:
-        report = semigroup_report(build_generators(p))
+    report, _ = _evaluate(p, engine)
     echo = {"family": name, "params": dict(params),
             "resolved": {"a": p.a, "b": p.b, "d": p.d, "k": p.k}}
     return OutputRecord(input=echo, engine=report.engine,
@@ -330,13 +328,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_orderly(args) -> int:
-    parts = [p.strip() for p in args.coins.split(",") if p.strip()]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise InvalidParamsError(
-            f"coins must be comma-separated decimals, got {args.coins!r}")
-    coins = CoinSystem(values)
+    coins = CoinSystem(_parse_ints(args.coins, "coins"))
     verdict = is_orderly(coins)
     if args.format == "json":
         print(json.dumps(_encode({

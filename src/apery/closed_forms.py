@@ -2,18 +2,19 @@
 
 The family is (a, ba+d, b^2*a + (b^2-1)/(b-1)*d, ..., b^k*a + (b^k-1)/(b-1)*d)
 with gcd(a, d) = 1.  For a >= k-1 the least element of each residue class is
-read off the greedy digit presentation of the class index, which yields exact
-Frobenius number, genus and Apery set formulas with no search.  When a is the
-base-b repunit (b^n - 1)/(b - 1) and k = n - 1 everything specializes further,
-down to the pseudo-Frobenius set; Mersenne, Thabit and repunit semigroups are
-instances.
+read off the greedy digit sum of the class index over the orderly repunit
+coins (1, b+1, b^2+b+1, ...), computed by changemaking's greedy loop, which
+yields exact Frobenius number, genus and Apery set formulas with no search.
+When a is the base-b repunit (b^n - 1)/(b - 1) and k = n - 1 everything
+specializes further, down to the pseudo-Frobenius set; Mersenne, Thabit and
+repunit semigroups are instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .changemaking import digit_sum
+from .changemaking import _coin_values, _greedy_prefix, repunit_value
 from .core import AperySet, ENGINE_CLOSED, GeneratorList, SemigroupReport, \
     pseudo_frobenius_from_apery, residue_cap
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
@@ -56,30 +57,12 @@ def _require_closed(p: FamilyParams) -> None:
             f"closed forms need a >= k - 1, got a={p.a} k={p.k}")
 
 
-def repunit_value(b: int, n: int) -> int:
-    """(b^n - 1)/(b - 1): the base-b number written as n ones."""
-    return (b**n - 1) // (b - 1)
-
-
 def build_generators(p: FamilyParams) -> GeneratorList:
     """Explicit generator list (a, ba+d, ..., b^k*a + (b^k-1)/(b-1)*d)."""
     gens = [p.a]
     gens.extend(p.b**i * p.a + repunit_value(p.b, i) * p.d
                 for i in range(1, p.k + 1))
     return GeneratorList(gens)
-
-
-def _coin_values(b: int, k: int) -> list[int]:
-    return [repunit_value(b, i) for i in range(1, k + 1)]
-
-
-def _raw_digit_sum(values: list[int], r: int) -> int:
-    # greedy digit sum over precomputed repunit coin values, largest first
-    s = 0
-    for v in reversed(values[1:]):
-        q, r = divmod(r, v)
-        s += q
-    return s + r  # the unit coin takes the remainder
 
 
 def _exact_half(n: int) -> int:
@@ -98,11 +81,7 @@ def residue_minimum(p: FamilyParams, r: int) -> int:
     _require_closed(p)
     if not 0 <= r < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    return _residue_minimum_formula(p, r)
-
-
-def _residue_minimum_formula(p: FamilyParams, r: int) -> int:
-    s = _raw_digit_sum(_coin_values(p.b, p.k), r)
+    s = _greedy_prefix(_coin_values(p.b, p.k), r)
     return s * p.a + r * ((p.b - 1) * p.a + p.d)
 
 
@@ -127,7 +106,7 @@ def _apery_values_formula(p: FamilyParams, cap: int | None = None) -> tuple[int,
     step = (b - 1) * a + d
     minima = [0] * a
     for r in range(1, a):
-        minima[d * r % a] = _raw_digit_sum(values, r) * a + r * step
+        minima[d * r % a] = _greedy_prefix(values, r) * a + r * step
     return tuple(minima)
 
 
@@ -138,16 +117,17 @@ def frobenius_closed(p: FamilyParams) -> int:
 
 
 def _frobenius_formula(p: FamilyParams) -> int:
-    s_top = _raw_digit_sum(_coin_values(p.b, p.k), p.a - 1)
+    s_top = _greedy_prefix(_coin_values(p.b, p.k), p.a - 1)
     return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
 
 def genus_closed(p: FamilyParams) -> int:
     """Genus: digit-sum series over classes 1..a-1 plus (a-1)((b-1)a+d-1)/2.
 
-    The series is an O(a*k) loop of greedy presentations; when (a, k) matches
-    the repunit specialization a = (b^(k+1)-1)/(b-1) the closed summation for
-    the series is used instead (the two are cross-checked in the test suite).
+    The series is an O(a*k) loop of greedy digit sums over the repunit coins,
+    one per class; when (a, k) matches the repunit specialization
+    a = (b^(k+1)-1)/(b-1) the closed summation for the series is used instead
+    (the two are cross-checked in the test suite).
     """
     _require_closed(p)
     return _genus_formula(p)
@@ -160,7 +140,7 @@ def _genus_formula(p: FamilyParams) -> int:
         series = _exact_half(b * repunit_value(b, n - 1) + b**n * (n - 1))
     else:
         values = _coin_values(b, k)
-        series = sum(_raw_digit_sum(values, r) for r in range(1, a))
+        series = sum(_greedy_prefix(values, r) for r in range(1, a))
     # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even forces d odd
     return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
 
@@ -225,11 +205,22 @@ def report_closed(p: FamilyParams, cap: int | None = None) -> SemigroupReport:
     """
     frob = frobenius_closed(p)
     genus = genus_closed(p)
+    pf = _closed_pf(p, cap=cap)
+    return SemigroupReport(frobenius=frob, genus=genus, pf=pf,
+                           type=len(pf), engine=ENGINE_CLOSED)
+
+
+def _closed_pf(p: FamilyParams, cap: int | None = None,
+               minima: tuple[int, ...] | None = None,
+               generators: tuple[int, ...] = ()) -> tuple[int, ...]:
+    # the closed side's PF: the repunit formula at the repunit shape, else
+    # the successor test on the closed Apery set; a caller that already
+    # holds the closed minima and the generators passes them in
     n = repunit_specialization(p)
     if n is not None:
-        pf, t = pseudo_frobenius_closed(p.b, n, p.d)
+        return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
+    if minima is None:
+        ape = apery_closed(p, cap=cap)
     else:
-        pf = pseudo_frobenius_from_apery(apery_closed(p, cap=cap), cap=cap)
-        t = len(pf)
-    return SemigroupReport(frobenius=frob, genus=genus, pf=tuple(pf),
-                           type=t, engine=ENGINE_CLOSED)
+        ape = AperySet(p.a, minima, generators)
+    return tuple(pseudo_frobenius_from_apery(ape, cap=cap))

@@ -15,23 +15,20 @@ from .errors import InvalidParamsError
 
 def mersenne(n: int) -> FamilyParams:
     """Mersenne semigroup: a = 2^n - 1, b = 2, d = 1, k = n - 1; n >= 2."""
-    if n < 2:
-        raise InvalidParamsError(f"mersenne needs n >= 2, got n={n}")
+    _check_bounds("mersenne", n=n)
     return FamilyParams(a=2**n - 1, b=2, d=1, k=n - 1)
 
 
 def thabit(n: int) -> FamilyParams:
     """Thabit semigroup: a = 3*2^n - 1, b = 2, d = 1, k = n + 1; n >= 1."""
-    if n < 1:
-        raise InvalidParamsError(f"thabit needs n >= 1, got n={n}")
+    _check_bounds("thabit", n=n)
     return FamilyParams(a=3 * 2**n - 1, b=2, d=1, k=n + 1)
 
 
 def gu_ze_tang(n: int, m: int) -> FamilyParams:
     """a = (2^m - 1)*2^n - 1, b = 2, d = 1, k = n + m - 1; n >= 1, 2 <= m <= 2^n."""
-    if n < 1:
-        raise InvalidParamsError(f"gu-ze-tang needs n >= 1, got n={n}")
-    if not 2 <= m <= 2**n:
+    _check_bounds("gu-ze-tang", n=n, m=m)
+    if m > 2**n:
         raise InvalidParamsError(
             f"gu-ze-tang needs 2 <= m <= 2^n = {2**n}, got m={m}")
     return FamilyParams(a=(2**m - 1) * 2**n - 1, b=2, d=1, k=n + m - 1)
@@ -43,10 +40,7 @@ def song_gt(n: int, m: int) -> FamilyParams:
     delta is 1 when n = 0, m when 0 < m <= n, and m - 1 when m > n >= 1.
     Requires m >= 2, n >= 0; n = 0 degenerates to two generators.
     """
-    if m < 2:
-        raise InvalidParamsError(f"song-gt needs m >= 2, got m={m}")
-    if n < 0:
-        raise InvalidParamsError(f"song-gt needs n >= 0, got n={n}")
+    _check_bounds("song-gt", n=n, m=m)
     if n == 0:
         delta = 1
     elif m <= n:
@@ -59,28 +53,19 @@ def song_gt(n: int, m: int) -> FamilyParams:
 
 def liu_xin(m: int, k: int, d: int = 1) -> FamilyParams:
     """a = m*(2^k - 1) + 2^(k-1) - 1, b = 2; m >= 1, k >= 3, free step d."""
-    if m < 1:
-        raise InvalidParamsError(f"liu-xin needs m >= 1, got m={m}")
-    if k < 3:
-        raise InvalidParamsError(f"liu-xin needs k >= 3, got k={k}")
+    _check_bounds("liu-xin", m=m, k=k, d=d)
     return FamilyParams(a=m * (2**k - 1) + 2**(k - 1) - 1, b=2, d=d, k=k)
 
 
 def repunit(b: int, n: int) -> FamilyParams:
     """Repunit semigroup: a = (b^n - 1)/(b - 1), d = 1, k = n - 1; b, n >= 2."""
-    if b < 2:
-        raise InvalidParamsError(f"repunit needs b >= 2, got b={b}")
-    if n < 2:
-        raise InvalidParamsError(f"repunit needs n >= 2, got n={n}")
+    _check_bounds("repunit", b=b, n=n)
     return FamilyParams(a=repunit_value(b, n), b=b, d=1, k=n - 1)
 
 
 def gu_ze(b: int, n: int) -> FamilyParams:
     """a = b^(n+1) + (b^n - 1)/(b - 1), d = 1, k = n + 1; b >= 2, n >= 0."""
-    if b < 2:
-        raise InvalidParamsError(f"gu-ze needs b >= 2, got b={b}")
-    if n < 0:
-        raise InvalidParamsError(f"gu-ze needs n >= 0, got n={n}")
+    _check_bounds("gu-ze", b=b, n=n)
     return FamilyParams(a=b**(n + 1) + repunit_value(b, n), b=b, d=1, k=n + 1)
 
 
@@ -89,10 +74,7 @@ def thabit_base_b(b: int, n: int) -> FamilyParams:
 
     Requires b >= 2, n >= 0; at b = 2 this is the classical Thabit family.
     """
-    if b < 2:
-        raise InvalidParamsError(f"thabit-base-b needs b >= 2, got b={b}")
-    if n < 0:
-        raise InvalidParamsError(f"thabit-base-b needs n >= 0, got n={n}")
+    _check_bounds("thabit-base-b", b=b, n=n)
     return FamilyParams(a=(b + 1) * b**n - 1, b=b, d=b - 1, k=n + 1)
 
 
@@ -158,6 +140,16 @@ _CATALOG: tuple[dict, ...] = (
 )
 
 FAMILY_NAMES: tuple[str, ...] = tuple(entry["name"] for entry in _CATALOG)
+_ENTRIES: dict[str, dict] = {entry["name"]: entry for entry in _CATALOG}
+
+
+def _check_bounds(family: str, **values: int) -> None:
+    # lower bounds live only in the catalog; gu-ze-tang's m <= 2^n stays put
+    for param in _ENTRIES[family]["params"]:
+        name, low = param["name"], param["min"]
+        if values[name] < low:
+            raise InvalidParamsError(
+                f"{family} needs {name} >= {low}, got {name}={values[name]}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ class FamilySpec:
             raise InvalidParamsError(
                 f"unknown family {self.name!r}; known: {', '.join(FAMILY_NAMES)}")
         object.__setattr__(self, "params", dict(self.params))
-        entry = next(e for e in _CATALOG if e["name"] == self.name)
+        entry = _ENTRIES[self.name]
         allowed = {p["name"] for p in entry["params"]}
         required = {p["name"] for p in entry["params"] if "default" not in p}
         given = set(self.params)

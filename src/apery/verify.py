@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from math import gcd
 from random import Random
 
-from .changemaking import colex_compare, greedy_count, greedy_presentation, \
-    is_orderly, opt_count, repunit_coins, weight
-from .closed_forms import FamilyParams, _apery_values_formula, \
-    _frobenius_formula, _genus_formula, build_generators, \
-    pseudo_frobenius_closed, repunit_specialization
-from .core import AperySet, apery_set, frobenius_from_apery, \
-    genus_from_apery, pseudo_frobenius_from_apery
+from .changemaking import _coin_values, _opt_counts_upto, colex_compare, \
+    greedy_count, greedy_presentation, is_orderly, opt_count, repunit_coins, \
+    weight
+from .closed_forms import FamilyParams, _apery_values_formula, _closed_pf, \
+    _frobenius_formula, _genus_formula, build_generators
+from .core import apery_set, frobenius_from_apery, genus_from_apery, \
+    pseudo_frobenius_from_apery
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 # Oracle feasibility cutoff for grid sweeps; larger moduli are skipped with a
@@ -120,28 +120,13 @@ def _param_items(p: FamilyParams) -> tuple[tuple[str, int], ...]:
     return (("a", p.a), ("b", p.b), ("d", p.d), ("k", p.k))
 
 
-def _opt_counts_upto(values: tuple[int, ...], limit: int) -> list[int]:
-    # full min-coin table 0..limit; values[0] == 1 seeds the unit baseline
-    dp = list(range(limit + 1))
-    for v in values[1:]:
-        if v > limit:
-            break
-        for m in range(v, limit + 1):
-            candidate = dp[m - v] + 1
-            if candidate < dp[m]:
-                dp[m] = candidate
-    return dp
-
-
 def _monotone_records(p: FamilyParams,
                       params: tuple[tuple[str, int], ...],
                       m_limit: int = 5) -> list[Mismatch]:
     # the per-class candidate at multiplier m must be nondecreasing in m;
     # evaluated through an independent DP, not the greedy shortcut
     a, b, d, k = p.a, p.b, p.d, p.k
-    coins = tuple((b**i - 1) // (b - 1) for i in range(1, k + 1))
-    limit = m_limit * a + a - 1
-    dp = _opt_counts_upto(coins, limit)
+    dp = _opt_counts_upto(_coin_values(b, k), m_limit * a + a - 1)
     records = []
     for r in range(a):
         prev = None
@@ -194,12 +179,8 @@ def run_single(p: FamilyParams, *, check_apery: bool = True,
 
     if check_pf:
         oracle_pf = tuple(pseudo_frobenius_from_apery(ape, cap=cap))
-        n = repunit_specialization(p)
-        if n is not None:
-            closed_pf = tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
-        else:
-            closed_pf = tuple(pseudo_frobenius_from_apery(
-                AperySet(p.a, closed_minima, gens.elements), cap=cap))
+        closed_pf = _closed_pf(p, cap=cap, minima=closed_minima,
+                               generators=gens.elements)
         if closed_pf != oracle_pf:
             records.append(Mismatch(params, "pf",
                                     list(closed_pf), list(oracle_pf)))

@@ -62,6 +62,10 @@ class TestCounts:
     def test_dp_cap(self):
         with pytest.raises(OracleInfeasibleError):
             opt_count([1, 5], 10**9, cap=10**6)
+        # amount M needs M + 1 cells: 9 fits a cap of 10, 10 does not
+        assert opt_count([1, 5], 9, cap=10) == 5
+        with pytest.raises(OracleInfeasibleError):
+            opt_count([1, 5], 10, cap=10)
 
     def test_against_reference(self):
         for coins in ([1, 3, 4], [1, 2, 5], [1, 5, 8], [1, 7, 10, 13]):

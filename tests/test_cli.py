@@ -75,17 +75,24 @@ class TestQuantities:
         assert record["frobenius"] == 29
         assert record["apery"] == [0, 11, 22, 23, 34]
 
-    def test_engines_agree(self, capsys):
-        _, closed, _ = run_cli(capsys, "report", "--a", "7", "--b", "3",
-                               "--d", "2", "--k", "2", "--format", "json")
-        _, oracle, _ = run_cli(capsys, "report", "--a", "7", "--b", "3",
-                               "--d", "2", "--k", "2", "--engine", "oracle",
-                               "--format", "json")
-        left = json.loads(closed)
-        right = json.loads(oracle)
-        assert left.pop("engine") == "closed-form"
-        assert right.pop("engine") == "oracle"
-        assert left == right
+    @pytest.mark.parametrize("abdk", [("7", "3", "2", "2"),
+                                      ("7", "2", "1", "2")],
+                             ids=["general", "repunit"])
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("command", ["frobenius", "genus", "apery", "pf",
+                                         "gaps", "report"])
+    def test_engines_agree(self, capsys, command, fmt, abdk):
+        # (7, 2, 1, 2) has the repunit shape a = 2^3 - 1, k = 3 - 1, so the
+        # closed PF comes from the formula there and from the Apery set at
+        # (7, 3, 2, 2); both must match the oracle apart from the engine tag
+        argv = [command, "--a", abdk[0], "--b", abdk[1], "--d", abdk[2],
+                "--k", abdk[3], "--format", fmt]
+        code, closed, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        code, oracle, _ = run_cli(capsys, *argv, "--engine", "oracle")
+        assert code == EXIT_OK
+        assert _without_engine(closed, fmt, "closed-form") == \
+            _without_engine(oracle, fmt, "oracle")
 
     def test_csv_single_record(self, capsys):
         code, out, _ = run_cli(capsys, "frobenius", "--gens", "5,11,23",
@@ -97,6 +104,21 @@ class TestQuantities:
         assert record["gens"] == "5;11;23"
         assert record["frobenius"] == "29"
         assert record["engine"] == "oracle"
+
+
+def _without_engine(out, fmt, engine):
+    # the output with its engine tag checked and removed
+    if fmt == "json":
+        record = json.loads(out)
+        assert record.pop("engine") == engine
+        return record
+    if fmt == "csv":
+        header, row = csv.reader(io.StringIO(out))
+        column = header.index("engine")
+        assert row.pop(column) == engine
+        return header, row
+    assert engine not in out
+    return out
 
 
 class TestInvalidInput:
@@ -267,6 +289,12 @@ class TestOrderlyCommand:
         code, _, _ = run_cli(capsys, "orderly", "--coins", "3,4")
         assert code == EXIT_INVALID
 
+    def test_bad_coin_text(self, capsys):
+        code, out, err = run_cli(capsys, "orderly", "--coins", "1,x")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "error" in err
+
 
 class TestVerifyCommand:
     def test_clean_run_exits_zero(self, capsys):
@@ -339,24 +367,28 @@ class TestRecordRoundTrip:
         assert parse_record(serialize_record(record)) == record
 
 
+def _env_with_package():
+    # subprocesses import the package under test, wherever pytest found it
+    import apery
+    src = os.path.dirname(os.path.dirname(apery.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 class TestConsoleEntryPoint:
     def test_installed_script(self):
         result = subprocess.run(
             [sys.executable, "-m", "apery.cli", "frobenius",
              "--gens", "5,11,23"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_env_with_package())
         assert result.returncode == EXIT_OK
         assert result.stdout == "29\n"
 
     def test_import_does_not_load_process_pool(self):
         # the pool machinery is imported only by cross_check(jobs > 1)
-        import apery
-        src = os.path.dirname(os.path.dirname(apery.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, apery, apery.cli; "
              "print('concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_env_with_package())
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
