@@ -15,10 +15,8 @@ import sys
 from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
-from .closed_forms import FamilyParams, apery_closed, build_generators, \
-    report_closed
-from .core import AperySet, GeneratorList, SemigroupReport, apery_set, \
-    gaps as gap_list, semigroup_report
+from .closed_forms import FamilyParams, evaluate
+from .core import Evaluation, GeneratorList, SemigroupReport
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FAMILY_NAMES, FamilySpec, catalog, resolve
 from .verify import GridSpec, cross_check, property_suite
@@ -34,40 +32,32 @@ _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
-class OutputRecord:
-    """One invocation's result: input echo plus the computed quantities."""
+class OutputRecord(SemigroupReport):
+    """One invocation's result: a report plus the input echo and, when the
+    command prints them, the Apery set and the gaps."""
 
     input: dict
-    engine: str
-    frobenius: int
-    genus: int
-    type: int
-    pf: tuple[int, ...]
     apery: tuple[int, ...] | None = None
     gaps: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pf", tuple(self.pf))
+        super().__post_init__()
         if self.apery is not None:
             object.__setattr__(self, "apery", tuple(self.apery))
         if self.gaps is not None:
             object.__setattr__(self, "gaps", tuple(self.gaps))
 
     def to_dict(self) -> dict:
-        out = {"input": self.input, "engine": self.engine,
-               "frobenius": self.frobenius, "genus": self.genus,
-               "type": self.type, "pf": list(self.pf)}
-        if self.apery is not None:
-            out["apery"] = list(self.apery)
-        if self.gaps is not None:
-            out["gaps"] = list(self.gaps)
-        return out
+        # in JSON key order; apery and gaps only when the command prints them
+        keys = ("input", "engine", "frobenius", "genus", "type", "pf",
+                "apery", "gaps")
+        return {key: getattr(self, key) for key in keys
+                if getattr(self, key) is not None}
 
 
 def _encode(obj):
-    # ints outside the signed 64-bit range become decimal strings
-    if isinstance(obj, bool):
-        return obj
+    # ints outside the signed 64-bit range become decimal strings (a bool
+    # is an int in range and stays as it is)
     if isinstance(obj, int):
         return obj if _INT64_MIN <= obj <= _INT64_MAX else str(obj)
     if isinstance(obj, (list, tuple)):
@@ -92,13 +82,22 @@ def serialize_record(record: OutputRecord) -> str:
 
 
 def parse_record(text: str) -> OutputRecord:
-    raw = _decode(json.loads(text))
-    return OutputRecord(
-        input=raw["input"], engine=raw["engine"],
-        frobenius=raw["frobenius"], genus=raw["genus"], type=raw["type"],
-        pf=tuple(raw["pf"]),
-        apery=tuple(raw["apery"]) if "apery" in raw else None,
-        gaps=tuple(raw["gaps"]) if "gaps" in raw else None)
+    return OutputRecord(**_decode(json.loads(text)))
+
+
+def _emit(fmt: str, payload, header, rows, lines) -> None:
+    # the one writer per format: JSON, CSV or plain lines.  rows and lines may
+    # be generators, so only the chosen layout is built; callers compute every
+    # value first, so a request that fails writes nothing to stdout
+    if fmt == "json":
+        print(json.dumps(_encode(payload)))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,114 +133,76 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
                      default="plain")
 
 
-def _evaluate(source: FamilyParams | GeneratorList, engine: str,
-              want_apery: bool = False
-              ) -> tuple[SemigroupReport, AperySet | None]:
-    # the one engine dispatch; a generator list goes to the oracle
-    if engine == "closed":
-        return report_closed(source), \
-            apery_closed(source) if want_apery else None
-    gens = build_generators(source) if isinstance(source, FamilyParams) \
-        else source
-    return semigroup_report(gens), apery_set(gens) if want_apery else None
-
-
-def _record_for(args, want_apery: bool, want_gaps: bool) -> OutputRecord:
+def _evaluation(args) -> tuple[dict, Evaluation]:
+    # the input echo and the lazy evaluation; a generator list goes to the
+    # oracle whatever --engine says
     if args.gens is not None:
         if any(v is not None for v in (args.a, args.b, args.d, args.k)):
             raise InvalidParamsError("--gens excludes --a/--b/--d/--k")
         gens = GeneratorList(_parse_ints(args.gens, "generators"))
-        report, ape = _evaluate(gens, "oracle", want_apery or want_gaps)
-        echo = {"gens": list(gens.elements)}
-    else:
-        missing = [n for n in "abdk" if getattr(args, n) is None]
-        if missing:
-            raise InvalidParamsError(
-                "need --gens or all of --a/--b/--d/--k (missing: "
-                + ", ".join(missing) + ")")
-        p = FamilyParams(a=args.a, b=args.b, d=args.d, k=args.k)
-        report, ape = _evaluate(p, args.engine, want_apery or want_gaps)
-        echo = {"a": p.a, "b": p.b, "d": p.d, "k": p.k}
+        return {"gens": list(gens.elements)}, evaluate(gens, "oracle")
+    missing = [n for n in "abdk" if getattr(args, n) is None]
+    if missing:
+        raise InvalidParamsError(
+            "need --gens or all of --a/--b/--d/--k (missing: "
+            + ", ".join(missing) + ")")
+    p = FamilyParams(a=args.a, b=args.b, d=args.d, k=args.k)
+    return {"a": p.a, "b": p.b, "d": p.d, "k": p.k}, evaluate(p, args.engine)
+
+
+def _record(echo: dict, ev: Evaluation, field: str = "") -> OutputRecord:
+    # every record carries the full report; the Apery set and the gaps only
+    # for the commands that print them
     return OutputRecord(
-        input=echo, engine=report.engine, frobenius=report.frobenius,
-        genus=report.genus, type=report.type, pf=report.pf,
-        apery=ape.minima if want_apery else None,
-        gaps=tuple(gap_list(ape)) if want_gaps else None)
+        input=echo, **vars(ev.report()),
+        apery=ev.apery.minima if field in ("apery", "report") else None,
+        gaps=tuple(ev.gaps) if field in ("gaps", "report") else None)
 
 
-def _join(values) -> str:
-    return ",".join(str(v) for v in values)
+def _join(values, sep: str) -> str:
+    return sep.join(str(v) for v in values)
 
 
-def _print_plain_report(record: OutputRecord) -> None:
-    print(f"frobenius: {record.frobenius}")
-    print(f"genus: {record.genus}")
-    print(f"type: {record.type}")
-    print(f"pf: {_join(record.pf)}")
-    if record.apery is not None:
-        print(f"apery: {_join(record.apery)}")
-    if record.gaps is not None:
-        print(f"gaps: {_join(record.gaps)}")
+def _report_lines(record: OutputRecord):
+    for key, value in record.to_dict().items():
+        if key not in ("input", "engine"):
+            yield f"{key}: " + (str(value) if isinstance(value, int)
+                                else _join(value, ","))
 
 
 _CSV_COLUMNS = ("gens", "a", "b", "d", "k", "engine", "frobenius", "genus",
                 "type", "pf", "apery", "gaps")
 
 
-def _csv_row(record: OutputRecord) -> list[str]:
+def _csv_row(record: OutputRecord) -> list:
+    # one cell per _CSV_COLUMNS entry; csv writes None as an empty cell
     echo = record.input
-    row = []
-    for col in _CSV_COLUMNS:
-        if col == "gens":
-            row.append(";".join(str(v) for v in echo.get("gens", ())))
-        elif col in ("a", "b", "d", "k"):
-            value = echo.get(col, echo.get("resolved", {}).get(col))
-            row.append("" if value is None else str(value))
-        elif col == "engine":
-            row.append(record.engine)
-        elif col in ("pf", "apery", "gaps"):
-            values = getattr(record, col)
-            row.append("" if values is None
-                       else ";".join(str(v) for v in values))
-        else:
-            row.append(str(getattr(record, col)))
-    return row
-
-
-def _emit_record(record: OutputRecord, fmt: str, plain_field) -> None:
-    if fmt == "json":
-        print(serialize_record(record))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerow(_csv_row(record))
-    elif plain_field == "report":
-        _print_plain_report(record)
-    else:
-        value = getattr(record, plain_field)
-        if isinstance(value, tuple):
-            for v in value:
-                print(v)
-        else:
-            print(value)
+    abdk = echo.get("resolved", echo)
+    return [_join(echo.get("gens", ()), ";"), *map(abdk.get, "abdk"),
+            record.engine, record.frobenius, record.genus, record.type,
+            *(None if values is None else _join(values, ";")
+              for values in (record.pf, record.apery, record.gaps))]
 
 
 def _cmd_quantity(args, field: str) -> int:
-    want_apery = field in ("apery", "report")
-    want_gaps = field in ("gaps", "report")
-    record = _record_for(args, want_apery, want_gaps)
-    _emit_record(record, args.format, field)
+    echo, ev = _evaluation(args)
+    if args.format == "plain" and field != "report":
+        # a plain single quantity computes only what it prints
+        value = ev.apery.minima if field == "apery" else getattr(ev, field)
+        for line in [value] if isinstance(value, int) else value:
+            print(line)
+        return EXIT_OK
+    record = _record(echo, ev, field)
+    _emit(args.format, record.to_dict(), _CSV_COLUMNS,
+          (_csv_row(record),), _report_lines(record))
     return EXIT_OK
 
 
 def _family_record(name: str, params: dict, engine: str) -> OutputRecord:
     p = resolve(FamilySpec(name, params))
-    report, _ = _evaluate(p, engine)
     echo = {"family": name, "params": dict(params),
             "resolved": {"a": p.a, "b": p.b, "d": p.d, "k": p.k}}
-    return OutputRecord(input=echo, engine=report.engine,
-                        frobenius=report.frobenius, genus=report.genus,
-                        type=report.type, pf=report.pf)
+    return _record(echo, evaluate(p, engine))
 
 
 def _bound_text(p: dict) -> str:
@@ -254,25 +215,12 @@ def _bound_text(p: dict) -> str:
     return text
 
 
-def _print_family_list(fmt: str) -> None:
-    entries = catalog()
-    if fmt == "json":
-        print(json.dumps({"families": entries}))
-        return
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("name", "params", "resolves"))
-        for entry in entries:
-            writer.writerow((entry["name"],
-                             ";".join(_bound_text(p).replace(" ", "")
-                                      for p in entry["params"]),
-                             entry["resolves"]))
-        return
+def _family_list_lines(entries):
     for entry in entries:
         params = ", ".join(_bound_text(p) for p in entry["params"])
-        print(f"{entry['name']}: {entry['resolves']}  [{params}]")
+        yield f"{entry['name']}: {entry['resolves']}  [{params}]"
         for branch in entry.get("delta", ()):
-            print(f"  delta = {branch['value']} when {branch['when']}")
+            yield f"  delta = {branch['value']} when {branch['when']}"
 
 
 def _parse_range(text: str) -> range:
@@ -287,7 +235,14 @@ def _parse_range(text: str) -> range:
 
 def _cmd_family(args) -> int:
     if args.name == "list":
-        _print_family_list(args.format)
+        entries = catalog()
+        rows = ((entry["name"],
+                 _join((_bound_text(p).replace(" ", "")
+                        for p in entry["params"]), ";"),
+                 entry["resolves"]) for entry in entries)
+        _emit(args.format, {"families": entries},
+              ("name", "params", "resolves"), rows,
+              _family_list_lines(entries))
         return EXIT_OK
     if args.name not in FAMILY_NAMES:
         raise InvalidParamsError(
@@ -301,51 +256,38 @@ def _cmd_family(args) -> int:
             raise InvalidParamsError("--n-range excludes --n")
         records = [_family_record(args.name, dict(fixed, n=n), args.engine)
                    for n in _parse_range(args.n_range)]
-
-    if args.format == "json":
-        if len(records) == 1:
-            print(serialize_record(records[0]))
-        else:
-            print(json.dumps(
-                {"records": [_encode(r.to_dict()) for r in records]}))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("family",) + _CSV_COLUMNS[1:-2])
-        for record in records:
-            row = _csv_row(record)
-            writer.writerow([record.input["family"]] + row[1:-2])
-    else:
-        for i, record in enumerate(records):
-            if i:
-                print()
-            print(f"family: {record.input['family']}")
-            for key, value in record.input["params"].items():
-                print(f"{key}: {value}")
-            resolved = record.input["resolved"]
-            print("resolved: a={a} b={b} d={d} k={k}".format(**resolved))
-            _print_plain_report(record)
+    payload = records[0].to_dict() if len(records) == 1 else \
+        {"records": [r.to_dict() for r in records]}
+    rows = ([r.input["family"]] + _csv_row(r)[1:-2] for r in records)
+    _emit(args.format, payload, ("family",) + _CSV_COLUMNS[1:-2], rows,
+          _family_lines(records))
     return EXIT_OK
+
+
+def _family_lines(records):
+    for i, record in enumerate(records):
+        if i:
+            yield ""
+        yield f"family: {record.input['family']}"
+        for key, value in record.input["params"].items():
+            yield f"{key}: {value}"
+        yield "resolved: a={a} b={b} d={d} k={k}".format(
+            **record.input["resolved"])
+        yield from _report_lines(record)
 
 
 def _cmd_orderly(args) -> int:
     coins = CoinSystem(_parse_ints(args.coins, "coins"))
     verdict = is_orderly(coins)
-    if args.format == "json":
-        print(json.dumps(_encode({
-            "coins": list(coins.denominations),
-            "orderly": verdict.orderly,
-            "counterexample": verdict.counterexample})))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("coins", "orderly", "counterexample"))
-        writer.writerow((";".join(str(c) for c in coins.denominations),
-                         str(verdict.orderly).lower(),
-                         "" if verdict.counterexample is None
-                         else verdict.counterexample))
-    else:
-        print("orderly" if verdict.orderly else "non-orderly")
-        if verdict.counterexample is not None:
-            print(verdict.counterexample)
+    counter = verdict.counterexample
+    _emit(args.format,
+          {"coins": list(coins.denominations), "orderly": verdict.orderly,
+           "counterexample": counter},
+          ("coins", "orderly", "counterexample"),
+          ((_join(coins.denominations, ";"), str(verdict.orderly).lower(),
+            counter),),
+          ["orderly" if verdict.orderly else "non-orderly"]
+          + ([] if counter is None else [counter]))
     return EXIT_OK
 
 
@@ -364,29 +306,21 @@ def _cmd_verify(args) -> int:
     grid_report = cross_check(grid, jobs=args.jobs,
                               inject_mismatch=args.inject_mismatch)
     prop_report = property_suite(seed=args.seed, budget=args.budget)
-    if args.format == "json":
-        print(json.dumps(_encode({
-            "cross_check": grid_report.to_dict(),
-            "property_suite": prop_report.to_dict()})))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("suite", "cases_run", "cases_passed",
-                         "cases_skipped", "mismatches", "divergences"))
-        for label, rep in (("cross_check", grid_report),
-                           ("property_suite", prop_report)):
-            writer.writerow((label, rep.cases_run, rep.cases_passed,
-                             rep.cases_skipped, len(rep.mismatches),
-                             len(rep.divergences)))
-    else:
-        print(_summary_line("cross-check", grid_report))
-        print(_summary_line("properties", prop_report))
-        for mismatch in (grid_report.mismatches + prop_report.mismatches):
-            print(f"mismatch {dict(mismatch.params)} {mismatch.quantity}: "
-                  f"closed={mismatch.closed_value} "
-                  f"oracle={mismatch.oracle_value}")
-    if grid_report.mismatches or prop_report.mismatches:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    suites = (("cross_check", grid_report), ("property_suite", prop_report))
+    mismatches = grid_report.mismatches + prop_report.mismatches
+    lines = [_summary_line("cross-check", grid_report),
+             _summary_line("properties", prop_report)]
+    lines += (f"mismatch {dict(m.params)} {m.quantity}: "
+              f"closed={m.closed_value} oracle={m.oracle_value}"
+              for m in mismatches)
+    _emit(args.format, {label: rep.to_dict() for label, rep in suites},
+          ("suite", "cases_run", "cases_passed", "cases_skipped",
+           "mismatches", "divergences"),
+          ((label, rep.cases_run, rep.cases_passed, rep.cases_skipped,
+            len(rep.mismatches), len(rep.divergences))
+           for label, rep in suites),
+          lines)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def build_parser() -> _Parser:

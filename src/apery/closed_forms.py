@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .changemaking import _coin_values, _greedy_prefix, repunit_value
-from .core import AperySet, ENGINE_CLOSED, GeneratorList, SemigroupReport, \
-    pseudo_frobenius_from_apery, residue_cap
+from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
+    OracleEvaluation, SemigroupReport, _cached, pseudo_frobenius_from_apery, \
+    residue_cap
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 
@@ -72,6 +73,82 @@ def _exact_half(n: int) -> int:
     return q
 
 
+def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
+    """The one evaluation path of the library, the CLI and the verifier.
+
+    engine "closed" evaluates the formulas at FamilyParams, which must
+    satisfy a >= k-1; engine "oracle" derives everything from one Dijkstra
+    run over the generators of FamilyParams or of an explicit generator
+    list.  Each quantity of the result is computed on first use and kept.
+    """
+    if engine == "closed":
+        _require_closed(source)
+        return ClosedEvaluation(source, cap)
+    if isinstance(source, FamilyParams):
+        source = build_generators(source)
+    return OracleEvaluation(source, cap)
+
+
+class ClosedEvaluation(Evaluation):
+    """The closed formulas at FamilyParams.
+
+    Unlike evaluate(), this does not check a >= k-1: verify.run_single
+    builds one directly because a sweep with include_hypothesis_violations
+    evaluates the formulas outside that hypothesis on purpose and reports
+    their disagreement with the oracle as divergences.
+    """
+
+    engine = ENGINE_CLOSED
+
+    @_cached
+    def frobenius(self) -> int:
+        p = self.source
+        s_top = _greedy_prefix(_coin_values(p.b, p.k), p.a - 1)
+        return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
+
+    @_cached
+    def genus(self) -> int:
+        p = self.source
+        a, b, d = p.a, p.b, p.d
+        n = repunit_specialization(p)
+        if n is not None:
+            return repunit_general_genus(b, n, d)
+        values = _coin_values(b, p.k)
+        series = sum(_greedy_prefix(values, r) for r in range(1, a))
+        # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even
+        # forces d odd
+        return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
+
+    @_cached
+    def minima(self) -> tuple[int, ...]:
+        # the closed Apery set before AperySet checks it, so that verify
+        # reports a wrong formula as a mismatch instead of failing
+        p = self.source
+        a, b, d = p.a, p.b, p.d
+        if a > residue_cap(self.cap):
+            raise OracleInfeasibleError(
+                f"modulus {a} exceeds the residue cap {residue_cap(self.cap)}")
+        values = _coin_values(b, p.k)
+        step = (b - 1) * a + d
+        minima = [0] * a
+        for r in range(1, a):
+            minima[d * r % a] = _greedy_prefix(values, r) * a + r * step
+        return tuple(minima)
+
+    @_cached
+    def apery(self) -> AperySet:
+        return AperySet(self.source.a, self.minima,
+                        build_generators(self.source).elements)
+
+    @_cached
+    def pf(self) -> tuple[int, ...]:
+        p = self.source
+        n = repunit_specialization(p)
+        if n is not None:
+            return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
+        return tuple(pseudo_frobenius_from_apery(self.apery, cap=self.cap))
+
+
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1.
 
@@ -92,33 +169,12 @@ def apery_closed(p: FamilyParams, cap: int | None = None) -> AperySet:
     makes the placement a bijection.  Materializes a list of length a, so the
     same residue cap as the oracle applies.
     """
-    _require_closed(p)
-    return AperySet(p.a, _apery_values_formula(p, cap=cap),
-                    build_generators(p).elements)
-
-
-def _apery_values_formula(p: FamilyParams, cap: int | None = None) -> tuple[int, ...]:
-    a, b, d, k = p.a, p.b, p.d, p.k
-    if a > residue_cap(cap):
-        raise OracleInfeasibleError(
-            f"modulus {a} exceeds the residue cap {residue_cap(cap)}")
-    values = _coin_values(b, k)
-    step = (b - 1) * a + d
-    minima = [0] * a
-    for r in range(1, a):
-        minima[d * r % a] = _greedy_prefix(values, r) * a + r * step
-    return tuple(minima)
+    return evaluate(p, "closed", cap).apery
 
 
 def frobenius_closed(p: FamilyParams) -> int:
     """Frobenius number ((b-1)*a - b + d + digit_sum(a-1)) * a - d."""
-    _require_closed(p)
-    return _frobenius_formula(p)
-
-
-def _frobenius_formula(p: FamilyParams) -> int:
-    s_top = _greedy_prefix(_coin_values(p.b, p.k), p.a - 1)
-    return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
+    return evaluate(p, "closed").frobenius
 
 
 def genus_closed(p: FamilyParams) -> int:
@@ -126,23 +182,10 @@ def genus_closed(p: FamilyParams) -> int:
 
     The series is an O(a*k) loop of greedy digit sums over the repunit coins,
     one per class; when (a, k) matches the repunit specialization
-    a = (b^(k+1)-1)/(b-1) the closed summation for the series is used instead
+    a = (b^(k+1)-1)/(b-1) the whole genus is repunit_general_genus instead
     (the two are cross-checked in the test suite).
     """
-    _require_closed(p)
-    return _genus_formula(p)
-
-
-def _genus_formula(p: FamilyParams) -> int:
-    a, b, d, k = p.a, p.b, p.d, p.k
-    n = repunit_specialization(p)
-    if n is not None:
-        series = _exact_half(b * repunit_value(b, n - 1) + b**n * (n - 1))
-    else:
-        values = _coin_values(b, k)
-        series = sum(_greedy_prefix(values, r) for r in range(1, a))
-    # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even forces d odd
-    return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
+    return evaluate(p, "closed").genus
 
 
 def repunit_specialization(p: FamilyParams) -> int | None:
@@ -203,24 +246,4 @@ def report_closed(p: FamilyParams, cap: int | None = None) -> SemigroupReport:
     pseudo_frobenius_from_apery.  The latter materializes a list of length
     a, so the residue cap applies off the repunit shape.
     """
-    frob = frobenius_closed(p)
-    genus = genus_closed(p)
-    pf = _closed_pf(p, cap=cap)
-    return SemigroupReport(frobenius=frob, genus=genus, pf=pf,
-                           type=len(pf), engine=ENGINE_CLOSED)
-
-
-def _closed_pf(p: FamilyParams, cap: int | None = None,
-               minima: tuple[int, ...] | None = None,
-               generators: tuple[int, ...] = ()) -> tuple[int, ...]:
-    # the closed side's PF: the repunit formula at the repunit shape, else
-    # the successor test on the closed Apery set; a caller that already
-    # holds the closed minima and the generators passes them in
-    n = repunit_specialization(p)
-    if n is not None:
-        return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
-    if minima is None:
-        ape = apery_closed(p, cap=cap)
-    else:
-        ape = AperySet(p.a, minima, generators)
-    return tuple(pseudo_frobenius_from_apery(ape, cap=cap))
+    return evaluate(p, "closed", cap).report()

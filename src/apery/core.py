@@ -238,7 +238,13 @@ def gaps(ape: AperySet) -> list[int]:
     """All positive integers outside the semigroup, sorted ascending.
 
     Residue class r contributes minima[r] - a, minima[r] - 2a, ... down to r.
+    The list has genus many entries, so a genus above residue_cap() raises
+    OracleInfeasibleError before any of it is built.
     """
+    count = genus_from_apery(ape)
+    if count > residue_cap():
+        raise OracleInfeasibleError(
+            f"{count} gaps exceed the cap {residue_cap()}")
     a = ape.modulus
     out: list[int] = []
     for r in range(1, a):
@@ -272,14 +278,71 @@ def pseudo_frobenius_from_apery(ape: AperySet, cap: int | None = None) -> list[i
     return sorted(w - a for w in maximal)
 
 
+class _cached:
+    """functools.cached_property without the lock it takes before Python
+    3.12, which costs about a microsecond on each first access: the value
+    is computed once and stored in the instance, where later reads find it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class Evaluation:
+    """Invariants of one semigroup under one engine, each computed on first
+    use and then kept; the Apery set is built at most once and shared by
+    the pseudo-Frobenius set and the gaps.  Subclasses supply apery,
+    frobenius, genus and pf, and the engine tag.
+    """
+
+    def __init__(self, source, cap: int | None = None):
+        self.source = source
+        self.cap = cap
+
+    @_cached
+    def type(self) -> int:
+        return len(self.pf)
+
+    @_cached
+    def gaps(self) -> list[int]:
+        return gaps(self.apery)
+
+    def report(self) -> SemigroupReport:
+        # PF first: where it needs the Apery set, the residue cap refuses
+        # an oversized request before a costly genus is computed
+        pf = self.pf
+        return SemigroupReport(frobenius=self.frobenius, genus=self.genus,
+                               pf=pf, type=self.type, engine=self.engine)
+
+
+class OracleEvaluation(Evaluation):
+    """Everything from one Dijkstra Apery set of the generators in source."""
+
+    engine = ENGINE_ORACLE
+
+    @_cached
+    def apery(self) -> AperySet:
+        return apery_set(self.source, cap=self.cap)
+
+    @_cached
+    def frobenius(self) -> int:
+        return frobenius_from_apery(self.apery)
+
+    @_cached
+    def genus(self) -> int:
+        return genus_from_apery(self.apery)
+
+    @_cached
+    def pf(self) -> tuple[int, ...]:
+        return tuple(pseudo_frobenius_from_apery(self.apery, cap=self.cap))
+
+
 def semigroup_report(gens, cap: int | None = None) -> SemigroupReport:
     """Full oracle report (F, g, PF, t) for an explicit generator list."""
-    ape = apery_set(gens, cap=cap)
-    pf = tuple(pseudo_frobenius_from_apery(ape, cap=cap))
-    return SemigroupReport(
-        frobenius=frobenius_from_apery(ape),
-        genus=genus_from_apery(ape),
-        pf=pf,
-        type=len(pf),
-        engine=ENGINE_ORACLE,
-    )
+    return OracleEvaluation(gens, cap).report()

@@ -17,10 +17,7 @@ from random import Random
 from .changemaking import _coin_values, _opt_counts_upto, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, opt_count, repunit_coins, \
     weight
-from .closed_forms import FamilyParams, _apery_values_formula, _closed_pf, \
-    _frobenius_formula, _genus_formula, build_generators
-from .core import apery_set, frobenius_from_apery, genus_from_apery, \
-    pseudo_frobenius_from_apery
+from .closed_forms import ClosedEvaluation, FamilyParams, evaluate
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 # Oracle feasibility cutoff for grid sweeps; larger moduli are skipped with a
@@ -151,40 +148,22 @@ def run_single(p: FamilyParams, *, check_apery: bool = True,
     by cross_check workers and for isolated re-runs of reported mismatches.
     """
     params = _param_items(p)
-    gens = build_generators(p)
-    ape = apery_set(gens, cap=cap)
-    records = []
-
-    closed_f = _frobenius_formula(p)
-    oracle_f = frobenius_from_apery(ape)
+    oracle = evaluate(p, "oracle", cap)
+    closed = ClosedEvaluation(p, cap)
+    # (quantity, closed value, oracle value); unequal pairs are mismatches
+    compared = [("frobenius", closed.frobenius, oracle.frobenius),
+                ("genus", closed.genus, oracle.genus)]
     if inject_mismatch:
-        closed_f += 1
-    if closed_f != oracle_f:
-        quantity = "frobenius-injected" if inject_mismatch else "frobenius"
-        records.append(Mismatch(params, quantity, closed_f, oracle_f))
-
-    closed_g = _genus_formula(p)
-    oracle_g = genus_from_apery(ape)
-    if closed_g != oracle_g:
-        records.append(Mismatch(params, "genus", closed_g, oracle_g))
-
-    closed_minima = None
-    if check_apery or check_pf:
-        closed_minima = _apery_values_formula(p, cap=cap)
-    if check_apery and closed_minima != ape.minima:
-        for r, (cv, ov) in enumerate(zip(closed_minima, ape.minima)):
-            if cv != ov:
-                records.append(Mismatch(params, f"apery[r={r}]", cv, ov))
-                break
-
+        compared[0] = ("frobenius-injected", closed.frobenius + 1,
+                       oracle.frobenius)
+    if check_apery and closed.minima != oracle.apery.minima:
+        compared.append(next(
+            (f"apery[r={r}]", cv, ov) for r, (cv, ov)
+            in enumerate(zip(closed.minima, oracle.apery.minima)) if cv != ov))
     if check_pf:
-        oracle_pf = tuple(pseudo_frobenius_from_apery(ape, cap=cap))
-        closed_pf = _closed_pf(p, cap=cap, minima=closed_minima,
-                               generators=gens.elements)
-        if closed_pf != oracle_pf:
-            records.append(Mismatch(params, "pf",
-                                    list(closed_pf), list(oracle_pf)))
-
+        compared.append(("pf", list(closed.pf), list(oracle.pf)))
+    records = [Mismatch(params, quantity, cv, ov)
+               for quantity, cv, ov in compared if cv != ov]
     if check_monotone:
         records.extend(_monotone_records(p, params))
     return records

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from apery import core, frobenius_closed, genus_closed, thabit
+from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
@@ -194,11 +196,86 @@ class TestInfeasible:
         assert out == ""
         assert "cap" in err
 
+    def test_gap_count_over_cap_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "40")
+        code, out, err = run_cli(capsys, "gaps", "--gens", "11,13")
+        assert code == EXIT_INFEASIBLE  # genus 60
+        assert out == ""
+        assert "gaps exceed the cap" in err
+        code, out, _ = run_cli(capsys, "gaps", "--gens", "7,11")
+        assert code == EXIT_OK  # genus 30
+        assert len(out.splitlines()) == 30
+
+    def test_huge_family_refused_before_genus(self):
+        # thabit(40) has a = 3 * 2^40 - 1: the cap check on the Apery set
+        # needed for PF must refuse before the O(a*k) genus series starts
+        result = subprocess.run(
+            [sys.executable, "-m", "apery.cli", "family", "thabit",
+             "--n", "40"],
+            capture_output=True, text=True, env=_env_with_package(),
+            timeout=60)
+        assert result.returncode == EXIT_INFEASIBLE
+        assert result.stdout == ""
+
     def test_cap_env_raised_allows_run(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "500")
         code, out, _ = run_cli(capsys, "frobenius", "--gens", "101,103")
         assert code == EXIT_OK
         assert out == f"{101 * 103 - 101 - 103}\n"
+
+
+class TestOneEvaluation:
+    """Each request builds at most one Apery set, in either engine."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(core, "apery_set", counted(core.apery_set))
+        closed = ClosedEvaluation.minima
+        monkeypatch.setattr(closed, "func", counted(closed.func))
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    @pytest.mark.parametrize("command", ["report", "apery", "gaps"])
+    def test_one_apery_set_per_request(self, capsys, builds, command,
+                                       engine, fmt):
+        code, _, _ = run_cli(capsys, command, "--a", "97", "--b", "3",
+                             "--d", "2", "--k", "3", "--engine", engine,
+                             "--format", fmt)
+        assert code == EXIT_OK
+        assert len(builds) == 1
+        builds.clear()
+        code, _, _ = run_cli(capsys, command, "--gens", "5,11,23",
+                             "--format", fmt)
+        assert code == EXIT_OK
+        assert builds == ["apery_set"]
+
+    @pytest.mark.parametrize("command", ["frobenius", "genus"])
+    def test_plain_scalar_computes_only_itself(self, capsys, monkeypatch,
+                                               builds, command):
+        # thabit(7) has a = 383, above this cap: plain F and g need no
+        # Apery set, while a JSON record carries PF, which does
+        p = thabit(7)
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "100")
+        argv = [command, "--a", str(p.a), "--b", str(p.b), "--d", str(p.d),
+                "--k", str(p.k)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        expected = {"frobenius": frobenius_closed, "genus": genus_closed}
+        assert out == f"{expected[command](p)}\n"
+        assert builds == []
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "cap" in err
 
 
 class TestFamilyCommand:

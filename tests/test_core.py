@@ -118,6 +118,14 @@ class TestDerivedQuantities:
                              17, 18, 19, 24, 29]
         assert len(gaps(ape)) == genus_from_apery(ape)
 
+    def test_gap_count_capped(self, monkeypatch):
+        ape = apery_set([5, 11, 23])  # genus 16
+        monkeypatch.setenv(ORACLE_CAP_ENV, "16")
+        assert len(gaps(ape)) == 16
+        monkeypatch.setenv(ORACLE_CAP_ENV, "15")
+        with pytest.raises(OracleInfeasibleError):
+            gaps(ape)
+
     def test_pseudo_frobenius_frozen(self):
         assert pseudo_frobenius_from_apery(apery_set([5, 11, 23])) == [17, 29]
         assert pseudo_frobenius_from_apery(apery_set([7, 15, 31])) == [54, 55]
