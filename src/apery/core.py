@@ -234,17 +234,17 @@ def contains(ape: AperySet, n: int) -> bool:
     return n >= ape.minima[n % ape.modulus]
 
 
-def gaps(ape: AperySet) -> list[int]:
+def gaps(ape: AperySet, cap: int | None = None) -> list[int]:
     """All positive integers outside the semigroup, sorted ascending.
 
     Residue class r contributes minima[r] - a, minima[r] - 2a, ... down to r.
-    The list has genus many entries, so a genus above residue_cap() raises
-    OracleInfeasibleError before any of it is built.
+    The list has genus many entries, so a genus above residue_cap(cap)
+    raises OracleInfeasibleError before any of it is built.
     """
     count = genus_from_apery(ape)
-    if count > residue_cap():
-        raise OracleInfeasibleError(
-            f"{count} gaps exceed the cap {residue_cap()}")
+    limit = residue_cap(cap)
+    if count > limit:
+        raise OracleInfeasibleError(f"{count} gaps exceed the cap {limit}")
     a = ape.modulus
     out: list[int] = []
     for r in range(1, a):
@@ -311,7 +311,7 @@ class Evaluation:
 
     @_cached
     def gaps(self) -> list[int]:
-        return gaps(self.apery)
+        return gaps(self.apery, cap=self.cap)
 
     def report(self) -> SemigroupReport:
         # PF first: where it needs the Apery set, the residue cap refuses

@@ -15,14 +15,18 @@ from math import gcd
 from random import Random
 
 from .changemaking import _coin_values, _opt_counts_upto, colex_compare, \
-    greedy_count, greedy_presentation, is_orderly, opt_count, repunit_coins, \
-    weight
+    greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import ClosedEvaluation, FamilyParams, evaluate
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 # Oracle feasibility cutoff for grid sweeps; larger moduli are skipped with a
 # counted reason rather than attempted.
 ORACLE_GRID_LIMIT = 10**5
+
+# What one start and stop of a worker pool adds to a sweep: 13-15 ms for an
+# empty 2-worker pool, 26-46 ms on grids of 250-760 cases run at jobs=2
+# (2-core x86-64, Python 3.11).
+_POOL_START_S = 0.05
 
 SKIP_GCD = "gcd"
 SKIP_HYPOTHESIS = "hypothesis"
@@ -195,10 +199,13 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     inject_mismatch corrupts the first case's Frobenius value to exercise
     the failure path end to end.
 
-    jobs < 1 raises InvalidParamsError.  The sweep uses
-    min(jobs, os.cpu_count(), number of cases) worker processes and runs in
-    this process when that is 1, so no request starts more processes than
-    the machine has cores.
+    jobs < 1 raises InvalidParamsError.  The sweep runs in this process
+    first.  With jobs > 1, once it has run for a quarter of a process-pool
+    start-up (_POOL_START_S) and the cases left would take, at its average
+    rate so far, more than two start-ups, those cases go to
+    min(jobs, os.cpu_count(), cases left) worker processes (in process when
+    that is 1).  So a sweep a pool cannot speed up starts none, and no
+    request starts more processes than the machine has cores.
     """
     if jobs < 1:
         raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
@@ -226,15 +233,33 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
                                   inject_mismatch and first))
                     first = False
 
-    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    # per-case cost spans 0.05 ms to 10 ms, so the rest is predicted from
+    # the sweep's own clock, not from a case count, once a quarter of a
+    # start-up has passed; two workers save half the rest, which pays for
+    # a start-up only when the rest takes two
+    workers = min(jobs, os.cpu_count() or 1)
+    results = []
+    for done, case in enumerate(cases):
+        if workers > 1:
+            elapsed = time.perf_counter() - started
+            rest_s = elapsed / max(done, 1) * (len(cases) - done)
+            if elapsed >= _POOL_START_S / 4 and rest_s >= 2 * _POOL_START_S:
+                break
+        results.append(_run_case(case))
+    rest = cases[len(results):]
+    workers = min(workers, len(rest))
     if workers > 1:
         # imported here: the pool machinery costs start-up time and memory
         # that every other use of the package would pay for nothing
         from concurrent.futures import ProcessPoolExecutor
+        # four chunks per worker even out a few costly cases; at most 64
+        # cases per chunk, as later cases of a grid cost more and the last
+        # chunk must not leave the other workers idle for long
+        chunksize = min(64, -(-len(rest) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases, chunksize=64))
+            results.extend(pool.map(_run_case, rest, chunksize=chunksize))
     else:
-        results = [_run_case(case) for case in cases]
+        results.extend(map(_run_case, rest))
 
     run = passed = 0
     mismatches: list[Mismatch] = []
@@ -269,15 +294,16 @@ def _check_orderly(rng: Random,
     verdict = is_orderly(coins)
     if not verdict.orderly:
         return [Mismatch(params, "orderly", False, True)]
-    # spot-check greedy optimality at desk-sized amounts with the DP oracle
+    # spot-check greedy optimality at desk-sized amounts with the DP oracle;
+    # a table's cell for M does not depend on its length, so one serves all
+    amounts = [rng.randint(1, 5000) for _ in range(5)]
+    optimal = _opt_counts_upto(coins.denominations, max(amounts))
     records = []
-    for _ in range(5):
-        m = rng.randint(1, 5000)
-        optimal = opt_count(coins, m)
+    for m in amounts:
         greedy = greedy_count(coins, m)
-        if optimal != greedy:
+        if optimal[m] != greedy:
             records.append(Mismatch(params, f"orderly-amount[M={m}]",
-                                    greedy, optimal))
+                                    greedy, optimal[m]))
     return records
 
 

@@ -461,7 +461,7 @@ class TestConsoleEntryPoint:
         assert result.stdout == "29\n"
 
     def test_import_does_not_load_process_pool(self):
-        # the pool machinery is imported only by cross_check(jobs > 1)
+        # the pool machinery is imported only when cross_check starts a pool
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, apery, apery.cli; "

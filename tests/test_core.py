@@ -22,6 +22,7 @@ from apery import (
     pseudo_frobenius_from_apery,
     semigroup_report,
 )
+from apery.closed_forms import evaluate
 from apery.core import ORACLE_CAP_ENV
 
 import oracle_ref
@@ -125,6 +126,14 @@ class TestDerivedQuantities:
         monkeypatch.setenv(ORACLE_CAP_ENV, "15")
         with pytest.raises(OracleInfeasibleError):
             gaps(ape)
+        assert len(gaps(ape, cap=16)) == 16  # an explicit cap wins
+
+    def test_evaluation_gaps_use_its_cap(self, monkeypatch):
+        monkeypatch.setenv(ORACLE_CAP_ENV, "50")
+        source = GeneratorList([101, 103])  # genus 5100
+        assert len(evaluate(source, "oracle", cap=10**4).gaps) == 5100
+        with pytest.raises(OracleInfeasibleError):
+            evaluate(source, "oracle", cap=200).gaps
 
     def test_pseudo_frobenius_frozen(self):
         assert pseudo_frobenius_from_apery(apery_set([5, 11, 23])) == [17, 29]

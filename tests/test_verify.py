@@ -1,11 +1,15 @@
 """Verification harness tests: grid sweeps, skip accounting, injection,
 property suite determinism."""
 import concurrent.futures
+import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from apery import verify
 from apery import (
     ConsistencyError,
     FamilyParams,
@@ -17,6 +21,7 @@ from apery import (
     property_suite,
     run_single,
 )
+from test_cli import _env_with_package
 
 
 class TestGridSpec:
@@ -38,6 +43,33 @@ class TestGridSpec:
             GridSpec(d_range=(0, 5))
         with pytest.raises(InvalidParamsError):
             GridSpec(k_range=(3, 2))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool by one that records (workers, chunk size,
+    cases handed over) and maps in process, on a 4-core machine."""
+    records = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            cases = list(iterable)
+            records.append((self.workers, chunksize, len(cases)))
+            return map(fn, cases)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return records
 
 
 class TestCrossCheck:
@@ -116,44 +148,74 @@ class TestCrossCheck:
         assert serial.skipped == parallel.skipped
         assert serial.mismatches == parallel.mismatches
 
+    def test_workers_do_not_change_the_report(self, monkeypatch):
+        # with a free pool start-up every case goes to real worker processes
+        monkeypatch.setattr(verify, "_POOL_START_S", 0)
+        grid = GridSpec(a_range=(2, 12), check_pf=True)
+        for inject in (False, True):
+            serial = cross_check(grid, jobs=1, inject_mismatch=inject)
+            parallel = cross_check(grid, jobs=2, inject_mismatch=inject)
+            assert serial.cases_run == parallel.cases_run
+            assert serial.cases_passed == parallel.cases_passed
+            assert serial.skipped == parallel.skipped
+            assert serial.mismatches == parallel.mismatches
+            assert len(parallel.mismatches) == inject
+
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
             with pytest.raises(InvalidParamsError):
                 cross_check(GridSpec(a_range=(2, 4)), jobs=jobs)
 
-    def test_worker_count_clamped(self, monkeypatch):
-        # records the pool size and maps in process: no real pool starts
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
+    def test_worker_count_clamped(self, pools, monkeypatch):
         grid = GridSpec(a_range=(2, 15))
+        tiny = GridSpec(a_range=(2, 6))
         one_case = GridSpec(a_range=(2, 2), b_range=(2, 2), d_range=(1, 1),
                             k_range=(1, 1))
         serial = cross_check(grid, jobs=1)
+        assert serial.cases_run == 756
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # a sweep shorter than a quarter of a pool start-up starts none
+        assert cross_check(tiny, jobs=4).ok
+        assert pools == []
+
+        monkeypatch.setattr(verify, "_POOL_START_S", 0)
         assert cross_check(grid, jobs=10**6).cases_run == serial.cases_run
         assert cross_check(grid, jobs=3).cases_run == serial.cases_run
         assert cross_check(one_case, jobs=4).cases_run == 1
-        assert sizes == [4, 3]  # the one-case sweep ran in process
+        assert cross_check(grid, jobs=2).cases_run == serial.cases_run
+        # the one-case sweep ran in process; four chunks per worker,
+        # ceil(756 / 16) and ceil(756 / 12), and at most 64 cases per chunk
+        assert pools == [(4, 48, 756), (3, 63, 756), (2, 64, 756)]
 
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cross_check(grid, jobs=8).mismatches == serial.mismatches
-        assert sizes == [4, 3]
+        assert len(pools) == 3
+
+    def test_pool_starts_when_the_rest_is_long(self, pools, monkeypatch):
+        # a clock that advances 1 ms per reading; the sweep reads it once
+        # when it starts and once before each case
+        ticks = itertools.count()
+        monkeypatch.setattr(verify.time, "perf_counter",
+                            lambda: next(ticks) / 1000)
+        short = GridSpec(a_range=(2, 14), b_range=(2, 2), d_range=(1, 1))
+        # past the 12.5 ms warm-up the rest never looks like 100 ms
+        assert cross_check(short, jobs=2).cases_run == 51
+        assert pools == []
+        # before case 13, 13 ms have passed and the other 744 cases look
+        # like 806 ms, so those go to two workers
+        assert cross_check(GridSpec(a_range=(2, 15)), jobs=2).ok
+        assert pools == [(2, 64, 744)]
+
+    def test_short_sweep_does_not_load_process_pool(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from apery import GridSpec, cross_check; "
+             "assert cross_check(GridSpec(a_range=(2, 6)), jobs=2).ok; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=_env_with_package(),
+            timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_report_serializes(self):
         report = cross_check(GridSpec(a_range=(2, 8)))
@@ -192,6 +254,26 @@ class TestPropertySuite:
         assert report.cases_run == 100
         assert report.cases_passed == 100
         assert not report.mismatches
+
+    def test_orderly_amounts_pinned(self, monkeypatch):
+        # a greedy count one too high flags every sampled amount, so the
+        # labels show which amounts each seed draws, in draw order
+        real = verify.greedy_count
+        monkeypatch.setattr(verify, "greedy_count",
+                            lambda coins, m: real(coins, m) + 1)
+        pinned = {
+            0: [332, 2122, 4189, 3981, 3318, 894, 2470, 4516, 2385, 1023,
+                2725, 3491, 510, 825, 1199, 4663, 4167, 2552, 2926, 3184],
+            3: [3031, 4948, 3884, 4759, 537, 4439, 4686, 4663, 853, 1730,
+                4752, 2580, 165, 3085, 4827, 2283, 2787, 701, 2829, 4830],
+            7: [3235, 396, 594, 4390, 772, 968, 4194, 3426, 1352, 2803,
+                1240, 1901, 1912, 99, 3973, 1682, 4328, 2964, 1201, 4450],
+        }
+        for seed, amounts in pinned.items():
+            report = property_suite(seed=seed, budget=12)
+            assert [m.quantity for m in report.mismatches] == [
+                f"orderly-amount[M={m}]" for m in amounts]
+            assert report.cases_passed == 8
 
     def test_minimal_budget(self):
         assert property_suite(seed=3, budget=1).cases_run == 1
