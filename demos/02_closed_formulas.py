@@ -1,9 +1,9 @@
 """Closed formulas for the geometric-progression-plus-drift generators.
 
 The family fixes a least generator a and appends terms b^i * a + R_i * d
-where R_i = (b^i - 1) / (b - 1).  When a >= k - 1 every invariant admits
-an exact closed evaluation that never touches the residue graph, so it
-scales to generators with hundreds of digits.
+where R_i = (b^i - 1) / (b - 1).  For every a >= 2 and k >= 1 the
+Frobenius number admits an exact closed evaluation that never touches the
+residue graph, so it scales to generators with hundreds of digits.
 """
 import time
 
@@ -32,6 +32,15 @@ oracle_f, oracle_g = frobenius_from_apery(ape), genus_from_apery(ape)
 print(f"closed form: F={closed_f} g={closed_g}")
 print(f"oracle:      F={oracle_f} g={oracle_g}")
 assert (closed_f, closed_g) == (oracle_f, oracle_g)
+
+# the formulas need no bound tying a to k: here a = 3 < k - 1 = 5
+p = FamilyParams(a=3, b=2, d=2, k=6)
+ape = apery_set(build_generators(p))
+print(f"\na={p.a} k={p.k}: closed F={frobenius_closed(p)} "
+      f"g={genus_closed(p)}, oracle F={frobenius_from_apery(ape)} "
+      f"g={genus_from_apery(ape)}")
+assert (frobenius_closed(p), genus_closed(p)) == \
+    (frobenius_from_apery(ape), genus_from_apery(ape))
 
 # when a is itself a repunit (b^n - 1)/(b - 1) and k = n - 1, the
 # remaining digit sums telescope and the whole report is closed form,

@@ -194,7 +194,7 @@ def _cmd_quantity(args, field: str) -> int:
         return EXIT_OK
     record = _record(echo, ev, field)
     _emit(args.format, record.to_dict(), _CSV_COLUMNS,
-          (_csv_row(record),), _report_lines(record))
+          map(_csv_row, (record,)), _report_lines(record))
     return EXIT_OK
 
 
@@ -301,8 +301,7 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(a_range=(2, args.a_max), b_range=(2, args.b_max),
                     d_range=(1, args.d_max), k_range=(1, args.k_max),
                     check_apery=True, check_pf=args.check_pf,
-                    check_monotone=args.check_monotone,
-                    include_hypothesis_violations=args.include_violations)
+                    check_monotone=args.check_monotone)
     grid_report = cross_check(grid, jobs=args.jobs,
                               inject_mismatch=args.inject_mismatch)
     prop_report = property_suite(seed=args.seed, budget=args.budget)
@@ -375,7 +374,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--k-max", type=int, default=4)
     verify.add_argument("--check-pf", action="store_true")
     verify.add_argument("--check-monotone", action="store_true")
-    verify.add_argument("--include-violations", action="store_true")
     verify.add_argument("--inject-mismatch", action="store_true",
                         help="corrupt one closed value to test reporting")
     verify.add_argument("--format", choices=["plain", "json", "csv"],

@@ -1,13 +1,29 @@
 """Closed-form evaluators for the geometric-step generator family.
 
 The family is (a, ba+d, b^2*a + (b^2-1)/(b-1)*d, ..., b^k*a + (b^k-1)/(b-1)*d)
-with gcd(a, d) = 1.  For a >= k-1 the least element of each residue class is
-read off the greedy digit sum of the class index over the orderly repunit
-coins (1, b+1, b^2+b+1, ...), computed by changemaking's greedy loop, which
-yields exact Frobenius number, genus and Apery set formulas with no search.
-When a is the base-b repunit (b^n - 1)/(b - 1) and k = n - 1 everything
-specializes further, down to the pseudo-Frobenius set; Mersenne, Thabit and
-repunit semigroups are instances.
+with gcd(a, d) = 1, that is g_0 = a and g_i = R_i*step + a, where
+R_i = (b^i-1)/(b-1) and step = (b-1)*a + d.  The least element of each
+residue class is read off the greedy digit sum of the class index over the
+orderly repunit coins (1, b+1, b^2+b+1, ...), computed by changemaking's
+greedy loop, which yields exact Frobenius number, genus and Apery set
+formulas with no search, for every a >= 2 and k >= 1:
+
+1. An element x_0*a + sum x_i*g_i equals (x_0 + sum x_i)*a + M*step with
+   M = sum x_i*R_i; its residue is d*M mod a.
+2. So the least element of class index r (residue d*r mod a) is the minimum
+   over m >= 0 of opt(r+m*a)*a + (r+m*a)*step, where opt is the optimal coin
+   count over R_1..R_k; the repunit coins are orderly for every k, so opt
+   is the greedy count.
+3. Any m >= 1 exceeds the m = 0 value by at least a*step - opt(r)*a > 0,
+   as opt(r) <= r < a < step.  The minimum is w_r = opt(r)*a + r*step.
+4. opt(x-1) <= opt(x) + b-1: drop a unit coin, or trade one coin R_j
+   (j >= 2) for b coins R_(j-1), since R_j - 1 = b*R_(j-1).
+5. Hence w_(a-1) - w_r >= (a-1-r)*d > 0, so F = w_(a-1) - a.
+
+The genus follows from the Apery set by Selmer's formula and PF by the
+successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and
+k = n - 1 everything specializes further, down to the pseudo-Frobenius
+set; Mersenne, Thabit and repunit semigroups are instances.
 """
 from __future__ import annotations
 
@@ -23,12 +39,7 @@ from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (a, b, d, k) of the generator family; requires gcd(a, d) = 1.
-
-    The extra hypothesis a >= k-1 needed by the closed forms is checked by the
-    operations that depend on it, not at construction: generator building and
-    oracle evaluation are valid without it.
-    """
+    """Parameters (a, b, d, k) of the generator family; gcd(a, d) = 1."""
 
     a: int
     b: int
@@ -47,15 +58,6 @@ class FamilyParams:
         if gcd(self.a, self.d) != 1:
             raise InvalidParamsError(
                 f"gcd(a, d) = gcd({self.a}, {self.d}) != 1")
-
-    def supports_closed_forms(self) -> bool:
-        return self.a >= self.k - 1
-
-
-def _require_closed(p: FamilyParams) -> None:
-    if not p.supports_closed_forms():
-        raise InvalidParamsError(
-            f"closed forms need a >= k - 1, got a={p.a} k={p.k}")
 
 
 def build_generators(p: FamilyParams) -> GeneratorList:
@@ -76,13 +78,12 @@ def _exact_half(n: int) -> int:
 def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
     """The one evaluation path of the library, the CLI and the verifier.
 
-    engine "closed" evaluates the formulas at FamilyParams, which must
-    satisfy a >= k-1; engine "oracle" derives everything from one Dijkstra
-    run over the generators of FamilyParams or of an explicit generator
-    list.  Each quantity of the result is computed on first use and kept.
+    engine "closed" evaluates the formulas at FamilyParams; engine "oracle"
+    derives everything from one Dijkstra run over the generators of
+    FamilyParams or of an explicit generator list.  Each quantity of the
+    result is computed on first use and kept.
     """
     if engine == "closed":
-        _require_closed(source)
         return ClosedEvaluation(source, cap)
     if isinstance(source, FamilyParams):
         source = build_generators(source)
@@ -90,13 +91,7 @@ def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
 
 
 class ClosedEvaluation(Evaluation):
-    """The closed formulas at FamilyParams.
-
-    Unlike evaluate(), this does not check a >= k-1: verify.run_single
-    builds one directly because a sweep with include_hypothesis_violations
-    evaluates the formulas outside that hypothesis on purpose and reports
-    their disagreement with the oracle as divergences.
-    """
+    """The closed formulas at FamilyParams."""
 
     engine = ENGINE_CLOSED
 
@@ -124,16 +119,13 @@ class ClosedEvaluation(Evaluation):
         # the closed Apery set before AperySet checks it, so that verify
         # reports a wrong formula as a mismatch instead of failing
         p = self.source
-        a, b, d = p.a, p.b, p.d
+        a, d = p.a, p.d
         if a > residue_cap(self.cap):
             raise OracleInfeasibleError(
                 f"modulus {a} exceeds the residue cap {residue_cap(self.cap)}")
-        values = _coin_values(b, p.k)
-        step = (b - 1) * a + d
-        minima = [0] * a
-        for r in range(1, a):
-            minima[d * r % a] = _greedy_prefix(values, r) * a + r * step
-        return tuple(minima)
+        # residue s holds class index s/d mod a
+        d_inv = pow(d, -1, a)
+        return tuple(_class_minima(p, [s * d_inv % a for s in range(a)]))
 
     @_cached
     def apery(self) -> AperySet:
@@ -149,17 +141,19 @@ class ClosedEvaluation(Evaluation):
         return tuple(pseudo_frobenius_from_apery(self.apery, cap=self.cap))
 
 
-def residue_minimum(p: FamilyParams, r: int) -> int:
-    """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1.
+def _class_minima(p: FamilyParams, indices) -> list[int]:
+    # w_r = (greedy digit sum of r) * a + r * step for each class index r,
+    # the least element congruent to d*r mod a (steps 2 and 3 above)
+    a, values = p.a, _coin_values(p.b, p.k)
+    step = (p.b - 1) * a + p.d
+    return [_greedy_prefix(values, r) * a + r * step for r in indices]
 
-    Equals (greedy digit sum of r) * a + r * ((b-1)*a + d); valid under the
-    a >= k-1 hypothesis, which makes the candidate at m = 0 minimal.
-    """
-    _require_closed(p)
+
+def residue_minimum(p: FamilyParams, r: int) -> int:
+    """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= r < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    s = _greedy_prefix(_coin_values(p.b, p.k), r)
-    return s * p.a + r * ((p.b - 1) * p.a + p.d)
+    return _class_minima(p, (r,))[0]
 
 
 def apery_closed(p: FamilyParams, cap: int | None = None) -> AperySet:

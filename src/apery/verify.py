@@ -16,7 +16,7 @@ from random import Random
 
 from .changemaking import _coin_values, _opt_counts_upto, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
-from .closed_forms import ClosedEvaluation, FamilyParams, evaluate
+from .closed_forms import FamilyParams, evaluate
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 
 # Oracle feasibility cutoff for grid sweeps; larger moduli are skipped with a
@@ -29,7 +29,6 @@ ORACLE_GRID_LIMIT = 10**5
 _POOL_START_S = 0.05
 
 SKIP_GCD = "gcd"
-SKIP_HYPOTHESIS = "hypothesis"
 SKIP_INFEASIBLE = "oracle-infeasible"
 
 
@@ -44,7 +43,6 @@ class GridSpec:
     check_apery: bool = True
     check_pf: bool = False
     check_monotone: bool = False
-    include_hypothesis_violations: bool = False
 
     def __post_init__(self):
         for name, (lo, hi), floor in (("a", self.a_range, 2),
@@ -78,7 +76,12 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of a sweep; mismatches fail the run, divergences do not."""
+    """Outcome of a sweep; any mismatch fails the run.
+
+    divergences is always empty: the closed forms hold on every grid point,
+    so there is no case whose disagreement would be tolerated.  It stays in
+    the report and its serializations for callers that read it.
+    """
 
     cases_run: int
     cases_passed: int
@@ -153,7 +156,7 @@ def run_single(p: FamilyParams, *, check_apery: bool = True,
     """
     params = _param_items(p)
     oracle = evaluate(p, "oracle", cap)
-    closed = ClosedEvaluation(p, cap)
+    closed = evaluate(p, "closed", cap)
     # (quantity, closed value, oracle value); unequal pairs are mismatches
     compared = [("frobenius", closed.frobenius, oracle.frobenius),
                 ("genus", closed.genus, oracle.genus)]
@@ -173,18 +176,16 @@ def run_single(p: FamilyParams, *, check_apery: bool = True,
     return records
 
 
-def _run_case(case) -> tuple[str, list[Mismatch]]:
-    (a, b, d, k), check_apery, check_pf, check_monotone, violation, cap, \
-        inject = case
+def _run_case(case) -> list[Mismatch] | None:
+    # the case's disagreement records, or None when the oracle refuses it
+    (a, b, d, k), check_apery, check_pf, check_monotone, cap, inject = case
     p = FamilyParams(a=a, b=b, d=d, k=k)
     try:
-        records = run_single(p, check_apery=check_apery, check_pf=check_pf,
-                             check_monotone=check_monotone, cap=cap,
-                             inject_mismatch=inject)
+        return run_single(p, check_apery=check_apery, check_pf=check_pf,
+                          check_monotone=check_monotone, cap=cap,
+                          inject_mismatch=inject)
     except OracleInfeasibleError:
-        return SKIP_INFEASIBLE, []
-    status = "divergence" if violation else ("mismatch" if records else "pass")
-    return status, records
+        return None
 
 
 def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
@@ -192,9 +193,9 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
                 inject_mismatch: bool = False) -> VerifyReport:
     """Sweep the grid and compare closed forms with the oracle case by case.
 
-    Cases with gcd(a, d) != 1 are skipped; so are hypothesis violations
-    (a < k-1) unless the grid asks for them, in which case their
-    disagreements are reported as divergences, not failures.  The report is
+    Cases with gcd(a, d) != 1 are skipped and counted, as are cases whose
+    modulus a exceeds ORACLE_GRID_LIMIT or the residue cap; every other
+    point, a < k-1 included, is an ordinary case.  The report is
     deterministic for a fixed grid regardless of jobs (elapsed time aside);
     inject_mismatch corrupts the first case's Frobenius value to exercise
     the failure path end to end.
@@ -211,7 +212,7 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
         raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
     cases = []
-    skips = {SKIP_GCD: 0, SKIP_HYPOTHESIS: 0, SKIP_INFEASIBLE: 0}
+    skips = {SKIP_GCD: 0, SKIP_INFEASIBLE: 0}
     first = True
     for b in range(grid.b_range[0], grid.b_range[1] + 1):
         for k in range(grid.k_range[0], grid.k_range[1] + 1):
@@ -220,16 +221,11 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
                     if gcd(a, d) != 1:
                         skips[SKIP_GCD] += 1
                         continue
-                    violation = a < k - 1
-                    if violation and not grid.include_hypothesis_violations:
-                        skips[SKIP_HYPOTHESIS] += 1
-                        continue
                     if a > ORACLE_GRID_LIMIT:
                         skips[SKIP_INFEASIBLE] += 1
                         continue
                     cases.append(((a, b, d, k), grid.check_apery,
-                                  grid.check_pf, grid.check_monotone,
-                                  violation, cap,
+                                  grid.check_pf, grid.check_monotone, cap,
                                   inject_mismatch and first))
                     first = False
 
@@ -263,25 +259,19 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
 
     run = passed = 0
     mismatches: list[Mismatch] = []
-    divergences: list[Mismatch] = []
-    for status, records in results:
-        if status == SKIP_INFEASIBLE:
+    for records in results:
+        if records is None:
             skips[SKIP_INFEASIBLE] += 1
             continue
         run += 1
-        if status == "divergence":
-            divergences.extend(records)
-            passed += 1
-        elif records:
+        if records:
             mismatches.extend(records)
         else:
             passed += 1
     mismatches.sort(key=lambda m: (m.params, m.quantity))
-    divergences.sort(key=lambda m: (m.params, m.quantity))
     skipped = tuple(sorted((r, c) for r, c in skips.items() if c))
     return VerifyReport(cases_run=run, cases_passed=passed, skipped=skipped,
-                        mismatches=tuple(mismatches),
-                        divergences=tuple(divergences),
+                        mismatches=tuple(mismatches), divergences=(),
                         elapsed_seconds=time.perf_counter() - started)
 
 

@@ -166,7 +166,7 @@ def test_criterion_7_lemma_property_suites():
                for b in (2, 3, 5)
                for d in (1, 2, 5)
                for k in (1, 2, 4)
-               if gcd(a, d) == 1 and a >= k - 1]
+               if gcd(a, d) == 1]
     for a, b, d, k in samples:
         p = FamilyParams(a=a, b=b, d=d, k=k)
         ok &= _monotone_records(p, _param_items(p), m_limit=5) == []

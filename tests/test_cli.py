@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from apery import core, frobenius_closed, genus_closed, thabit
+from apery import cli, core, frobenius_closed, genus_closed, thabit
 from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
@@ -78,8 +78,9 @@ class TestQuantities:
         assert record["apery"] == [0, 11, 22, 23, 34]
 
     @pytest.mark.parametrize("abdk", [("7", "3", "2", "2"),
-                                      ("7", "2", "1", "2")],
-                             ids=["general", "repunit"])
+                                      ("7", "2", "1", "2"),
+                                      ("2", "2", "1", "5")],
+                             ids=["general", "repunit", "a-below-k-1"])
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     @pytest.mark.parametrize("command", ["frobenius", "genus", "apery", "pf",
                                          "gaps", "report"])
@@ -95,6 +96,19 @@ class TestQuantities:
         assert code == EXIT_OK
         assert _without_engine(closed, fmt, "closed-form") == \
             _without_engine(oracle, fmt, "oracle")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_report_builds_no_csv_row(self, capsys, monkeypatch, fmt):
+        argv = ["report", "--a", "7", "--b", "3", "--d", "2", "--k", "2",
+                "--format", fmt]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+
+        def no_csv(record):
+            raise AssertionError("CSV row built for another format")
+
+        monkeypatch.setattr(cli, "_csv_row", no_csv)
+        assert run_cli(capsys, *argv) == (EXIT_OK, expected, "")
 
     def test_csv_single_record(self, capsys):
         code, out, _ = run_cli(capsys, "frobenius", "--gens", "5,11,23",

@@ -3,6 +3,7 @@ frozen, independently confirmed values."""
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apery import (
     AperySet,
@@ -29,6 +30,7 @@ from apery import (
     semigroup_report,
     thabit,
 )
+from apery.closed_forms import evaluate
 
 import oracle_ref
 
@@ -46,18 +48,25 @@ class TestFamilyParams:
         with pytest.raises(InvalidParamsError):
             FamilyParams(a=6, b=2, d=3, k=1)  # gcd(a, d) = 3
 
-    def test_hypothesis_flag(self):
-        assert FamilyParams(a=5, b=2, d=1, k=2).supports_closed_forms()
-        assert FamilyParams(a=3, b=2, d=1, k=4).supports_closed_forms()
-        assert not FamilyParams(a=2, b=2, d=1, k=4).supports_closed_forms()
+    def test_closed_forms_hold_for_a_below_k_minus_1(self):
+        # the paper states its formulas for a >= k-1; they hold for every a
+        for a, b, d, k in [(2, 2, 1, 4), (2, 3, 5, 6), (3, 2, 2, 6),
+                           (4, 2, 3, 8)]:
+            p = FamilyParams(a=a, b=b, d=d, k=k)
+            gens = list(build_generators(p).elements)
+            assert frobenius_closed(p) == oracle_ref.ref_frobenius(gens), p
+            assert genus_closed(p) == oracle_ref.ref_genus(gens), p
 
-    def test_closed_ops_enforce_hypothesis(self):
-        p = FamilyParams(a=2, b=2, d=1, k=5)
-        for op in (frobenius_closed, genus_closed, apery_closed):
-            with pytest.raises(InvalidParamsError):
-                op(p)
-        with pytest.raises(InvalidParamsError):
-            residue_minimum(p, 1)
+    def test_closed_ops_accept_a_below_k_minus_1(self):
+        p = FamilyParams(a=3, b=2, d=2, k=6)
+        oracle = evaluate(p, "oracle")
+        minima = oracle.apery.minima
+        assert apery_closed(p).minima == minima
+        assert [residue_minimum(p, r) for r in range(p.a)] == \
+            [minima[p.d * r % p.a] for r in range(p.a)]
+        report, expected = report_closed(p), oracle.report()
+        assert (report.frobenius, report.genus, report.pf, report.type) \
+            == (expected.frobenius, expected.genus, expected.pf, expected.type)
 
 
 class TestBuildGenerators:
@@ -77,7 +86,7 @@ class TestBuildGenerators:
             assert gens[i] == 4**i * 11 + (4**i - 1) // 3 * 3
 
     def test_no_hypothesis_needed(self):
-        # generator construction is valid even when closed forms are not
+        # a < k-1 is a valid family point
         p = FamilyParams(a=2, b=2, d=1, k=5)
         assert build_generators(p).elements == (2, 5, 11, 23, 47, 95)
 
@@ -116,8 +125,10 @@ class TestClosedAgainstOracle:
             assert genus_from_apery(ape) == genus
 
     def test_apery_closed_equals_oracle(self):
+        # the last three have a < k-1
         for a, b, d, k in [(5, 2, 1, 2), (7, 3, 2, 2), (3, 2, 1, 1),
-                           (31, 2, 3, 4), (25, 5, 4, 3), (59, 3, 5, 2)]:
+                           (31, 2, 3, 4), (25, 5, 4, 3), (59, 3, 5, 2),
+                           (2, 2, 1, 5), (3, 3, 2, 9), (5, 2, 3, 12)]:
             p = FamilyParams(a=a, b=b, d=d, k=k)
             assert apery_closed(p).minima == \
                 apery_set(build_generators(p)).minima, p
@@ -143,6 +154,25 @@ class TestClosedAgainstOracle:
         gens = list(build_generators(p).elements)
         assert frobenius_closed(p) == oracle_ref.ref_frobenius(gens)
         assert genus_closed(p) == oracle_ref.ref_genus(gens)
+
+
+@st.composite
+def family_params(draw):
+    # k up to a + 12, so many draws have a < k-1
+    a = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 12).filter(lambda d: gcd(a, d) == 1))
+    return FamilyParams(a=a, b=draw(st.integers(2, 6)), d=d,
+                        k=draw(st.integers(1, a + 12)))
+
+
+@given(family_params())
+@settings(max_examples=150, deadline=None)
+def test_closed_equals_oracle_for_random_params(p):
+    closed, oracle = evaluate(p, "closed"), evaluate(p, "oracle")
+    assert closed.frobenius == oracle.frobenius
+    assert closed.genus == oracle.genus
+    assert closed.minima == oracle.apery.minima
+    assert closed.pf == oracle.pf
 
 
 class TestRepunitSpecialization:

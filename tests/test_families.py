@@ -98,8 +98,8 @@ class TestBounds:
             thabit_base_b(b=2, n=-1)
 
     def test_small_parameters_support_closed_forms(self):
-        # every family instance in this range satisfies gcd(a, d) = 1 and
-        # a >= k - 1, so the closed forms apply throughout
+        # every family instance in this range satisfies gcd(a, d) = 1, so
+        # the closed forms apply throughout
         instances = []
         instances += [mersenne(n) for n in range(2, 7)]
         instances += [thabit(n) for n in range(1, 7)]
@@ -117,7 +117,6 @@ class TestBounds:
                       for n in range(0, 5)]
         for p in instances:
             assert gcd(p.a, p.d) == 1
-            assert p.a >= p.k - 1
             frobenius_closed(p)  # must not raise
 
 

@@ -32,7 +32,8 @@ class TestGridSpec:
         assert grid.d_range == (1, 5)
         assert grid.k_range == (1, 4)
         assert grid.check_apery
-        assert not grid.include_hypothesis_violations
+        assert not grid.check_pf
+        assert not grid.check_monotone
 
     def test_range_validation(self):
         with pytest.raises(InvalidParamsError):
@@ -96,18 +97,27 @@ class TestCrossCheck:
         assert skips["gcd"] == 5  # even a in 2..10
         assert report.cases_run == 4  # odd a in 2..10
 
-    def test_hypothesis_skip_vs_include(self):
-        base = GridSpec(a_range=(2, 2), b_range=(2, 2), d_range=(1, 1),
-                        k_range=(4, 4))
-        skipped = cross_check(base)
-        assert dict(skipped.skipped).get("hypothesis") == 1
-        assert skipped.cases_run == 0
+    def test_a_below_k_minus_1_is_an_ordinary_case(self):
+        one = cross_check(GridSpec(a_range=(2, 2), b_range=(2, 2),
+                                   d_range=(1, 1), k_range=(4, 4)))
+        assert (one.cases_run, one.cases_passed, one.skipped) == (1, 1, ())
+        assert one.ok
+        # a corrupted closed value there fails the run like anywhere else
+        bad = cross_check(GridSpec(a_range=(2, 2), b_range=(2, 2),
+                                   d_range=(1, 1), k_range=(4, 4)),
+                          inject_mismatch=True)
+        assert not bad.ok
+        assert [m.quantity for m in bad.mismatches] == ["frobenius-injected"]
 
-        included = cross_check(GridSpec(a_range=(2, 2), b_range=(2, 2),
-                                        d_range=(1, 1), k_range=(4, 4),
-                                        include_hypothesis_violations=True))
-        assert included.cases_run == 1
-        assert included.ok  # divergences never fail the run
+    def test_a_below_k_minus_1_grid_clean(self):
+        # k up to 14 puts a < k-1 on 66 of the 154 (a, k) pairs
+        report = cross_check(GridSpec(a_range=(2, 12), b_range=(2, 4),
+                                      d_range=(1, 4), k_range=(1, 14),
+                                      check_pf=True, check_monotone=True))
+        assert report.ok
+        assert report.cases_run == report.cases_passed == 1176
+        assert dict(report.skipped) == {"gcd": 672}
+        assert not report.divergences
 
     def test_optional_checks_run_clean(self):
         report = cross_check(GridSpec(a_range=(2, 12), check_pf=True,
@@ -172,7 +182,7 @@ class TestCrossCheck:
         one_case = GridSpec(a_range=(2, 2), b_range=(2, 2), d_range=(1, 1),
                             k_range=(1, 1))
         serial = cross_check(grid, jobs=1)
-        assert serial.cases_run == 756
+        assert serial.cases_run == 768
 
         # a sweep shorter than a quarter of a pool start-up starts none
         assert cross_check(tiny, jobs=4).ok
@@ -184,8 +194,8 @@ class TestCrossCheck:
         assert cross_check(one_case, jobs=4).cases_run == 1
         assert cross_check(grid, jobs=2).cases_run == serial.cases_run
         # the one-case sweep ran in process; four chunks per worker,
-        # ceil(756 / 16) and ceil(756 / 12), and at most 64 cases per chunk
-        assert pools == [(4, 48, 756), (3, 63, 756), (2, 64, 756)]
+        # ceil(768 / 16) and ceil(768 / 12), and at most 64 cases per chunk
+        assert pools == [(4, 48, 768), (3, 64, 768), (2, 64, 768)]
 
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cross_check(grid, jobs=8).mismatches == serial.mismatches
@@ -199,12 +209,12 @@ class TestCrossCheck:
                             lambda: next(ticks) / 1000)
         short = GridSpec(a_range=(2, 14), b_range=(2, 2), d_range=(1, 1))
         # past the 12.5 ms warm-up the rest never looks like 100 ms
-        assert cross_check(short, jobs=2).cases_run == 51
+        assert cross_check(short, jobs=2).cases_run == 52
         assert pools == []
-        # before case 13, 13 ms have passed and the other 744 cases look
-        # like 806 ms, so those go to two workers
+        # before case 13, 13 ms have passed and the other 756 cases look
+        # like 819 ms, so those go to two workers
         assert cross_check(GridSpec(a_range=(2, 15)), jobs=2).ok
-        assert pools == [(2, 64, 744)]
+        assert pools == [(2, 64, 756)]
 
     def test_short_sweep_does_not_load_process_pool(self):
         result = subprocess.run(
