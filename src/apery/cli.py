@@ -121,14 +121,12 @@ def _parse_ints(text: str, what: str) -> list[int]:
             f"{what} must be comma-separated decimals, got {text!r}")
 
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gens", help="comma-separated generators (oracle only)")
-    sub.add_argument("--a", type=int)
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--k", type=int)
+def _add_engine(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--engine", choices=["closed", "oracle"],
                      default="closed")
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["plain", "json", "csv"],
                      default="plain")
 
@@ -184,7 +182,8 @@ def _csv_row(record: OutputRecord) -> list:
               for values in (record.pf, record.apery, record.gaps))]
 
 
-def _cmd_quantity(args, field: str) -> int:
+def _cmd_quantity(args) -> int:
+    field = args.field
     echo, ev = _evaluation(args)
     if args.format == "plain" and field != "report":
         # a plain single quantity computes only what it prints
@@ -233,6 +232,9 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+_FAMILY_KEYS = ("n", "m", "b", "k", "d")
+
+
 def _cmd_family(args) -> int:
     if args.name == "list":
         entries = catalog()
@@ -247,7 +249,7 @@ def _cmd_family(args) -> int:
     if args.name not in FAMILY_NAMES:
         raise InvalidParamsError(
             f"unknown family {args.name!r}; try: family list")
-    fixed = {key: getattr(args, key) for key in ("n", "m", "b", "k", "d")
+    fixed = {key: getattr(args, key) for key in _FAMILY_KEYS
              if getattr(args, key) is not None}
     if args.n_range is None:
         records = [_family_record(args.name, fixed, args.engine)]
@@ -300,7 +302,7 @@ def _summary_line(label: str, report) -> str:
 def _cmd_verify(args) -> int:
     grid = GridSpec(a_range=(2, args.a_max), b_range=(2, args.b_max),
                     d_range=(1, args.d_max), k_range=(1, args.k_max),
-                    check_apery=True, check_pf=args.check_pf,
+                    check_pf=args.check_pf,
                     check_monotone=args.check_monotone)
     grid_report = cross_check(grid, jobs=args.jobs,
                               inject_mismatch=args.inject_mismatch)
@@ -338,29 +340,30 @@ def build_parser() -> _Parser:
             ("gaps", "all positive integers outside the semigroup"),
             ("report", "all quantities at once")):
         sub = subs.add_parser(name, help=help_text)
-        _add_input_options(sub)
-        sub.set_defaults(field=name)
+        sub.add_argument("--gens",
+                         help="comma-separated generators (oracle only)")
+        for key in "abdk":
+            sub.add_argument(f"--{key}", type=int)
+        _add_engine(sub)
+        _add_format(sub)
+        sub.set_defaults(run=_cmd_quantity, field=name)
 
     family = subs.add_parser("family", help="named literature families")
     family.add_argument("name", help="family name, or 'list'")
-    family.add_argument("--n", type=int)
-    family.add_argument("--m", type=int)
-    family.add_argument("--b", type=int)
-    family.add_argument("--k", type=int)
-    family.add_argument("--d", type=int)
+    for key in _FAMILY_KEYS:
+        family.add_argument(f"--{key}", type=int)
     family.add_argument("--n-range", dest="n_range",
                         help="inclusive range like 2..8; one record per n")
-    family.add_argument("--engine", choices=["closed", "oracle"],
-                        default="closed")
-    family.add_argument("--format", choices=["plain", "json", "csv"],
-                        default="plain")
+    _add_engine(family)
+    _add_format(family)
+    family.set_defaults(run=_cmd_family)
 
     orderly = subs.add_parser("orderly",
                               help="is greedy change-making optimal")
     orderly.add_argument("--coins", required=True,
                          help="comma-separated denominations incl. 1")
-    orderly.add_argument("--format", choices=["plain", "json", "csv"],
-                         default="plain")
+    _add_format(orderly)
+    orderly.set_defaults(run=_cmd_orderly)
 
     verify = subs.add_parser("verify",
                              help="closed forms vs oracle over a grid")
@@ -376,8 +379,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--check-monotone", action="store_true")
     verify.add_argument("--inject-mismatch", action="store_true",
                         help="corrupt one closed value to test reporting")
-    verify.add_argument("--format", choices=["plain", "json", "csv"],
-                        default="plain")
+    _add_format(verify)
+    verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -389,14 +392,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_INVALID
-        if args.command in ("frobenius", "genus", "apery", "pf", "gaps",
-                            "report"):
-            return _cmd_quantity(args, args.field)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "orderly":
-            return _cmd_orderly(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except SystemExit2 as err:
         print(err, file=sys.stderr)
         return EXIT_INVALID

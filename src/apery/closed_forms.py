@@ -81,10 +81,15 @@ def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
     engine "closed" evaluates the formulas at FamilyParams; engine "oracle"
     derives everything from one Dijkstra run over the generators of
     FamilyParams or of an explicit generator list.  Each quantity of the
-    result is computed on first use and kept.
+    result is computed on first use and kept.  Any other engine, or the
+    closed engine on a generator list, raises InvalidParamsError.
     """
-    if engine == "closed":
+    if engine == "closed" and isinstance(source, FamilyParams):
         return ClosedEvaluation(source, cap)
+    if engine != "oracle":
+        raise InvalidParamsError(
+            f"engine {engine!r} cannot evaluate {type(source).__name__}; the "
+            "engines are 'closed' (FamilyParams only) and 'oracle'")
     if isinstance(source, FamilyParams):
         source = build_generators(source)
     return OracleEvaluation(source, cap)
@@ -128,9 +133,12 @@ class ClosedEvaluation(Evaluation):
         return tuple(_class_minima(p, [s * d_inv % a for s in range(a)]))
 
     @_cached
+    def generators(self) -> GeneratorList:
+        return build_generators(self.source)
+
+    @_cached
     def apery(self) -> AperySet:
-        return AperySet(self.source.a, self.minima,
-                        build_generators(self.source).elements)
+        return AperySet(self.source.a, self.minima, self.generators.elements)
 
     @_cached
     def pf(self) -> tuple[int, ...]:

@@ -169,7 +169,7 @@ def test_criterion_7_lemma_property_suites():
                if gcd(a, d) == 1]
     for a, b, d, k in samples:
         p = FamilyParams(a=a, b=b, d=d, k=k)
-        ok &= _monotone_records(p, _param_items(p), m_limit=5) == []
+        ok &= _monotone_records(p, _param_items(p)) == []
     elapsed = time.perf_counter() - started
     ok &= elapsed < 120.0
     _verdict(7, f"colex-weight and candidate monotonicity in {elapsed:.1f}s",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from apery import (
     AperySet,
     FamilyParams,
+    GeneratorList,
     InvalidParamsError,
     OracleInfeasibleError,
     apery_closed,
@@ -67,6 +68,20 @@ class TestFamilyParams:
         report, expected = report_closed(p), oracle.report()
         assert (report.frobenius, report.genus, report.pf, report.type) \
             == (expected.frobenius, expected.genus, expected.pf, expected.type)
+
+
+class TestEvaluate:
+    def test_unknown_engine_rejected(self):
+        p = FamilyParams(a=7, b=3, d=2, k=2)
+        for engine in ("closed-form", "Closed", ""):
+            with pytest.raises(InvalidParamsError):
+                evaluate(p, engine)
+            with pytest.raises(InvalidParamsError):
+                evaluate(GeneratorList([7, 23, 71]), engine)
+
+    def test_closed_engine_needs_family_params(self):
+        with pytest.raises(InvalidParamsError):
+            evaluate(GeneratorList([7, 23, 71]), "closed")
 
 
 class TestBuildGenerators:

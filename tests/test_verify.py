@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from apery import verify
+from apery import closed_forms, verify
 from apery import (
     ConsistencyError,
     FamilyParams,
@@ -31,7 +31,6 @@ class TestGridSpec:
         assert grid.b_range == (2, 5)
         assert grid.d_range == (1, 5)
         assert grid.k_range == (1, 4)
-        assert grid.check_apery
         assert not grid.check_pf
         assert not grid.check_monotone
 
@@ -96,6 +95,43 @@ class TestCrossCheck:
         skips = dict(report.skipped)
         assert skips["gcd"] == 5  # even a in 2..10
         assert report.cases_run == 4  # odd a in 2..10
+
+    def test_oracle_infeasible_cases_skipped(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "20")
+        monkeypatch.setattr(verify, "_POOL_START_S", 0)
+        for jobs in (1, 2):
+            report = cross_check(GridSpec(a_range=(2, 40)), jobs=jobs)
+            assert report.ok
+            assert report.cases_run == report.cases_passed == 1040
+            assert dict(report.skipped) == {"gcd": 976,
+                                            "oracle-infeasible": 1104}
+
+    def test_injection_lands_on_a_case_that_runs(self, monkeypatch):
+        # the first point with gcd(a, d) = 1, a = 3, is above the cap
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "2")
+        report = cross_check(GridSpec(a_range=(2, 3), b_range=(2, 2),
+                                      d_range=(2, 3), k_range=(1, 1)),
+                             inject_mismatch=True)
+        assert dict(report.skipped) == {"gcd": 2, "oracle-infeasible": 1}
+        assert [(dict(m.params), m.quantity) for m in report.mismatches] == [
+            ({"a": 2, "b": 2, "d": 3, "k": 1}, "frobenius-injected")]
+
+    def test_grid_above_the_oracle_limit_runs_nothing(self):
+        lo = verify.ORACLE_GRID_LIMIT + 1
+        report = cross_check(GridSpec(a_range=(lo, lo + 3), b_range=(2, 3),
+                                      d_range=(1, 1), k_range=(1, 2)))
+        assert (report.cases_run, report.cases_passed) == (0, 0)
+        assert report.skipped == (("oracle-infeasible", 16),)
+        assert report.ok
+
+    def test_run_single_builds_the_generators_once(self, monkeypatch):
+        calls = []
+        real = closed_forms.build_generators
+        monkeypatch.setattr(closed_forms, "build_generators",
+                            lambda p: calls.append(p) or real(p))
+        assert run_single(FamilyParams(a=41, b=3, d=3, k=3),
+                          check_pf=True) == []
+        assert len(calls) == 1
 
     def test_a_below_k_minus_1_is_an_ordinary_case(self):
         one = cross_check(GridSpec(a_range=(2, 2), b_range=(2, 2),
