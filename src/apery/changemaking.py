@@ -66,18 +66,17 @@ def _check_amount(M: int) -> None:
         raise InvalidParamsError(f"amount must be >= 0, got {M}")
 
 
-def opt_count(coins, M: int, cap: int | None = None) -> int:
+def opt_count(coins, M: int) -> int:
     """Minimum number of coins summing to M, by bottom-up dynamic programming.
 
-    The table has M+1 cells; amounts above the cap (default 10**8 cells)
+    The table has M+1 cells; amounts above DEFAULT_DP_CAP (10**8 cells)
     raise OracleInfeasibleError rather than exhausting memory.
     """
     coins = _as_coins(coins)
     _check_amount(M)
-    limit = DEFAULT_DP_CAP if cap is None else cap
-    if M + 1 > limit:
+    if M + 1 > DEFAULT_DP_CAP:
         raise OracleInfeasibleError(
-            f"amount {M} needs {M + 1} DP cells, above the cap {limit}")
+            f"amount {M} needs {M + 1} DP cells, above the cap {DEFAULT_DP_CAP}")
     return _opt_counts_upto(coins.denominations, M)[M]
 
 

@@ -32,9 +32,9 @@ from math import gcd
 
 from .changemaking import _coin_values, _greedy_prefix, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
-    OracleEvaluation, SemigroupReport, _cached, pseudo_frobenius_from_apery, \
-    residue_cap
-from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
+    OracleEvaluation, SemigroupReport, _cached, check_cap, \
+    pseudo_frobenius_from_apery
+from .errors import ConsistencyError, InvalidParamsError
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _exact_half(n: int) -> int:
     return q
 
 
-def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
+def evaluate(source, engine: str) -> Evaluation:
     """The one evaluation path of the library, the CLI and the verifier.
 
     engine "closed" evaluates the formulas at FamilyParams; engine "oracle"
@@ -85,14 +85,14 @@ def evaluate(source, engine: str, cap: int | None = None) -> Evaluation:
     closed engine on a generator list, raises InvalidParamsError.
     """
     if engine == "closed" and isinstance(source, FamilyParams):
-        return ClosedEvaluation(source, cap)
+        return ClosedEvaluation(source)
     if engine != "oracle":
         raise InvalidParamsError(
             f"engine {engine!r} cannot evaluate {type(source).__name__}; the "
             "engines are 'closed' (FamilyParams only) and 'oracle'")
     if isinstance(source, FamilyParams):
         source = build_generators(source)
-    return OracleEvaluation(source, cap)
+    return OracleEvaluation(source)
 
 
 class ClosedEvaluation(Evaluation):
@@ -125,9 +125,7 @@ class ClosedEvaluation(Evaluation):
         # reports a wrong formula as a mismatch instead of failing
         p = self.source
         a, d = p.a, p.d
-        if a > residue_cap(self.cap):
-            raise OracleInfeasibleError(
-                f"modulus {a} exceeds the residue cap {residue_cap(self.cap)}")
+        check_cap(a, "residue classes")
         # residue s holds class index s/d mod a
         d_inv = pow(d, -1, a)
         return tuple(_class_minima(p, [s * d_inv % a for s in range(a)]))
@@ -146,7 +144,7 @@ class ClosedEvaluation(Evaluation):
         n = repunit_specialization(p)
         if n is not None:
             return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
-        return tuple(pseudo_frobenius_from_apery(self.apery, cap=self.cap))
+        return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
 def _class_minima(p: FamilyParams, indices) -> list[int]:
@@ -164,14 +162,14 @@ def residue_minimum(p: FamilyParams, r: int) -> int:
     return _class_minima(p, (r,))[0]
 
 
-def apery_closed(p: FamilyParams, cap: int | None = None) -> AperySet:
+def apery_closed(p: FamilyParams) -> AperySet:
     """Full Apery set from the closed form, one greedy presentation per class.
 
     The value for class index r lands at residue d*r mod a; gcd(a, d) = 1
     makes the placement a bijection.  Materializes a list of length a, so the
     same residue cap as the oracle applies.
     """
-    return evaluate(p, "closed", cap).apery
+    return evaluate(p, "closed").apery
 
 
 def frobenius_closed(p: FamilyParams) -> int:
@@ -232,14 +230,14 @@ def repunit_general_genus(b: int, n: int, d: int = 1) -> int:
 def pseudo_frobenius_closed(b: int, n: int, d: int = 1) -> tuple[list[int], int]:
     """Pseudo-Frobenius set {F, F-d, ..., F-(n-2)d} and type n-1.
 
-    Only valid at the repunit specialization; general parameters go through
-    the oracle.
+    Only valid at the repunit specialization; for general parameters
+    ClosedEvaluation.pf applies the successor test to the closed Apery set.
     """
     f = repunit_general_frobenius(b, n, d)
     return sorted(f - t * d for t in range(n - 1)), n - 1
 
 
-def report_closed(p: FamilyParams, cap: int | None = None) -> SemigroupReport:
+def report_closed(p: FamilyParams) -> SemigroupReport:
     """Closed-form report: F and g by formula everywhere.
 
     PF and type come from the specialized formula when (a, k) has the
@@ -248,4 +246,4 @@ def report_closed(p: FamilyParams, cap: int | None = None) -> SemigroupReport:
     pseudo_frobenius_from_apery.  The latter materializes a list of length
     a, so the residue cap applies off the repunit shape.
     """
-    return evaluate(p, "closed", cap).report()
+    return evaluate(p, "closed").report()

@@ -8,10 +8,9 @@ derived from it.  This module is the independent oracle that the package's
 closed-form evaluators are checked against.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.  The number
-of residue classes a must fit in memory as a list index; a configurable cap
-(default 10**7, overridable via the SEMIGROUP_ORACLE_CAP environment
-variable) turns oversized requests into an OracleInfeasibleError instead of
-an out-of-memory crash.
+of residue classes a must fit in memory as a list index; a cap (default
+10**7, set by the SEMIGROUP_ORACLE_CAP environment variable) turns oversized
+requests into an OracleInfeasibleError instead of an out-of-memory crash.
 """
 from __future__ import annotations
 
@@ -30,10 +29,8 @@ ENGINE_ORACLE = "oracle"
 ENGINE_CLOSED = "closed-form"
 
 
-def residue_cap(cap: int | None = None) -> int:
-    """Effective residue cap: explicit argument, else env override, else default."""
-    if cap is not None:
-        return cap
+def residue_cap() -> int:
+    """Effective residue cap: the env setting, else the default."""
     env = os.environ.get(ORACLE_CAP_ENV)
     if env:
         try:
@@ -42,6 +39,15 @@ def residue_cap(cap: int | None = None) -> int:
             raise InvalidParamsError(
                 f"{ORACLE_CAP_ENV} must be a decimal integer, got {env!r}")
     return DEFAULT_RESIDUE_CAP
+
+
+def check_cap(count: int, what: str) -> None:
+    """Refuse a table of count entries above the residue cap."""
+    limit = residue_cap()
+    if count > limit:
+        raise OracleInfeasibleError(
+            f"{count} {what} exceed the cap {limit}; "
+            f"set {ORACLE_CAP_ENV} to raise it")
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class SemigroupReport:
             raise InvalidParamsError(f"unknown engine tag {self.engine!r}")
 
 
-def apery_set(gens, cap: int | None = None) -> AperySet:
+def apery_set(gens) -> AperySet:
     """Compute the Apery set of the least generator by Dijkstra over residues.
 
     Nodes are the residue classes 0..a-1 (a = least generator); each other
@@ -175,10 +181,7 @@ def apery_set(gens, cap: int | None = None) -> AperySet:
     """
     gens = _as_generators(gens)
     a = gens.least
-    if a > residue_cap(cap):
-        raise OracleInfeasibleError(
-            f"least generator {a} exceeds the residue cap {residue_cap(cap)}; "
-            f"raise the cap or use a closed-form engine")
+    check_cap(a, "residue classes")
     if a == 1:
         return AperySet(1, (0,))
 
@@ -234,17 +237,14 @@ def contains(ape: AperySet, n: int) -> bool:
     return n >= ape.minima[n % ape.modulus]
 
 
-def gaps(ape: AperySet, cap: int | None = None) -> list[int]:
+def gaps(ape: AperySet) -> list[int]:
     """All positive integers outside the semigroup, sorted ascending.
 
     Residue class r contributes minima[r] - a, minima[r] - 2a, ... down to r.
-    The list has genus many entries, so a genus above residue_cap(cap)
-    raises OracleInfeasibleError before any of it is built.
+    The list has genus many entries, so a genus above residue_cap() raises
+    OracleInfeasibleError before any of it is built.
     """
-    count = genus_from_apery(ape)
-    limit = residue_cap(cap)
-    if count > limit:
-        raise OracleInfeasibleError(f"{count} gaps exceed the cap {limit}")
+    check_cap(genus_from_apery(ape), "gaps")
     a = ape.modulus
     out: list[int] = []
     for r in range(1, a):
@@ -256,7 +256,7 @@ def gaps(ape: AperySet, cap: int | None = None) -> list[int]:
     return out
 
 
-def pseudo_frobenius_from_apery(ape: AperySet, cap: int | None = None) -> list[int]:
+def pseudo_frobenius_from_apery(ape: AperySet) -> list[int]:
     """Pseudo-Frobenius numbers: {w - a : w maximal in the Apery set}.
 
     Maximality is under the partial order w <= w' iff w' - w is in the
@@ -268,9 +268,6 @@ def pseudo_frobenius_from_apery(ape: AperySet, cap: int | None = None) -> list[i
     back to minima[1:] and costs up to O(a^2).
     """
     a = ape.modulus
-    if a > residue_cap(cap):
-        raise OracleInfeasibleError(
-            f"modulus {a} exceeds the residue cap {residue_cap(cap)}")
     minima = ape.minima
     maximal = minima
     for g in _successor_steps(ape.generators, a):
@@ -301,9 +298,8 @@ class Evaluation:
     frobenius, genus and pf, and the engine tag.
     """
 
-    def __init__(self, source, cap: int | None = None):
+    def __init__(self, source):
         self.source = source
-        self.cap = cap
 
     @_cached
     def type(self) -> int:
@@ -311,7 +307,7 @@ class Evaluation:
 
     @_cached
     def gaps(self) -> list[int]:
-        return gaps(self.apery, cap=self.cap)
+        return gaps(self.apery)
 
     def report(self) -> SemigroupReport:
         # PF first: where it needs the Apery set, the residue cap refuses
@@ -328,7 +324,7 @@ class OracleEvaluation(Evaluation):
 
     @_cached
     def apery(self) -> AperySet:
-        return apery_set(self.source, cap=self.cap)
+        return apery_set(self.source)
 
     @_cached
     def frobenius(self) -> int:
@@ -340,9 +336,9 @@ class OracleEvaluation(Evaluation):
 
     @_cached
     def pf(self) -> tuple[int, ...]:
-        return tuple(pseudo_frobenius_from_apery(self.apery, cap=self.cap))
+        return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
-def semigroup_report(gens, cap: int | None = None) -> SemigroupReport:
+def semigroup_report(gens) -> SemigroupReport:
     """Full oracle report (F, g, PF, t) for an explicit generator list."""
-    return OracleEvaluation(gens, cap).report()
+    return OracleEvaluation(gens).report()

@@ -17,6 +17,7 @@ from apery import (
     repunit_coins,
     weight,
 )
+from apery import changemaking
 
 import oracle_ref
 
@@ -59,13 +60,14 @@ class TestCounts:
         with pytest.raises(InvalidParamsError):
             greedy_count([1, 5], -1)
 
-    def test_dp_cap(self):
+    def test_dp_cap(self, monkeypatch):
         with pytest.raises(OracleInfeasibleError):
-            opt_count([1, 5], 10**9, cap=10**6)
+            opt_count([1, 5], 10**9)
         # amount M needs M + 1 cells: 9 fits a cap of 10, 10 does not
-        assert opt_count([1, 5], 9, cap=10) == 5
+        monkeypatch.setattr(changemaking, "DEFAULT_DP_CAP", 10)
+        assert opt_count([1, 5], 9) == 5
         with pytest.raises(OracleInfeasibleError):
-            opt_count([1, 5], 10, cap=10)
+            opt_count([1, 5], 10)
 
     def test_against_reference(self):
         for coins in ([1, 3, 4], [1, 2, 5], [1, 5, 8], [1, 7, 10, 13]):

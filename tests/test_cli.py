@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from apery import cli, core, frobenius_closed, genus_closed, thabit
 from apery.closed_forms import ClosedEvaluation
@@ -231,6 +232,28 @@ class TestInfeasible:
         assert result.returncode == EXIT_INFEASIBLE
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("setting, argv, code, out", [
+        *((setting, argv, code, out) for setting in ("0", "-3")
+          for argv, code, out in [
+              ("report --gens 5,7", EXIT_INFEASIBLE, ""),
+              # plain F on parameters builds no residue table
+              ("frobenius --a 7 --b 3 --d 2 --k 2", EXIT_OK, "110\n"),
+              # every grid point is above the cap, so none runs
+              ("verify --a-max 10 --budget 3", EXIT_OK,
+               "cross-check: 0 run, 0 passed, 720 skipped, 0 mismatches, "
+               "0 divergences\nproperties: 3 run, 3 passed, 0 skipped, "
+               "0 mismatches, 0 divergences\n"),
+          ]),
+        ("1e3", "report --gens 5,7", EXIT_INVALID, ""),
+    ])
+    def test_cap_env_settings(self, capsys, monkeypatch, setting, argv,
+                              code, out):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", setting)
+        got_code, got_out, err = run_cli(capsys, *argv.split())
+        assert (got_code, got_out) == (code, out)
+        if code != EXIT_OK:
+            assert "SEMIGROUP_ORACLE_CAP" in err
+
     def test_cap_env_raised_allows_run(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "500")
         code, out, _ = run_cli(capsys, "frobenius", "--gens", "101,103")
@@ -448,6 +471,25 @@ class TestRecordRoundTrip:
         ]
         for record in records:
             assert parse_record(serialize_record(record)) == record
+
+    @given(values=st.lists(
+        st.builds(int.__add__, st.sampled_from([2**63, -(2**63)]),
+                  st.integers(-2, 2)),
+        min_size=2, max_size=6))
+    @example(values=[2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+    def test_round_trip_at_64_bit_edge(self, values):
+        # values lie within 2 of 2^63 or of -2^63, so on both sides of
+        # both ends of the signed 64-bit range
+        genus, *pf = values
+        record = OutputRecord(input={"gens": [5, 7]}, engine="oracle",
+                              frobenius=max(pf), genus=genus, type=len(pf),
+                              pf=pf)
+        text = serialize_record(record)
+        assert parse_record(text) == record
+        raw = json.loads(text)
+        encoded = [raw["frobenius"], raw["genus"], *raw["pf"]]
+        for v, enc in zip([max(pf), genus, *pf], encoded):
+            assert enc == (v if -(2**63) <= v < 2**63 else str(v))
 
     def test_cli_output_parses_back(self, capsys):
         _, out, _ = run_cli(capsys, "report", "--a", "5", "--b", "2",

@@ -10,6 +10,7 @@ from apery import (
     FamilyParams,
     GeneratorList,
     InvalidParamsError,
+    ORACLE_CAP_ENV,
     OracleInfeasibleError,
     apery_closed,
     apery_set,
@@ -158,10 +159,11 @@ class TestClosedAgainstOracle:
             assert frobenius_closed(p) == a * q - a - q
             assert genus_closed(p) == (a - 1) * (q - 1) // 2
 
-    def test_apery_closed_cap(self):
+    def test_apery_closed_cap(self, monkeypatch):
+        monkeypatch.setenv(ORACLE_CAP_ENV, "1000")
         p = FamilyParams(a=10**6 + 3, b=2, d=1, k=2)
-        with pytest.raises(OracleInfeasibleError):
-            apery_closed(p, cap=1000)
+        with pytest.raises(OracleInfeasibleError, match=ORACLE_CAP_ENV):
+            apery_closed(p)
 
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle

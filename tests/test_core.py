@@ -80,9 +80,10 @@ class TestAperySet:
         with pytest.raises(Exception):
             AperySet(3, (0, 5, 4))  # residue mismatch
 
-    def test_cap_enforced(self):
-        with pytest.raises(OracleInfeasibleError):
-            apery_set([101, 103], cap=10)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv(ORACLE_CAP_ENV, "10")
+        with pytest.raises(OracleInfeasibleError, match=ORACLE_CAP_ENV):
+            apery_set([101, 103])
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(ORACLE_CAP_ENV, "10")
@@ -126,20 +127,28 @@ class TestDerivedQuantities:
         monkeypatch.setenv(ORACLE_CAP_ENV, "15")
         with pytest.raises(OracleInfeasibleError):
             gaps(ape)
-        assert len(gaps(ape, cap=16)) == 16  # an explicit cap wins
 
-    def test_evaluation_gaps_use_its_cap(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_CAP_ENV, "50")
+    def test_evaluation_gaps_follow_env_cap(self, monkeypatch):
         source = GeneratorList([101, 103])  # genus 5100
-        assert len(evaluate(source, "oracle", cap=10**4).gaps) == 5100
-        with pytest.raises(OracleInfeasibleError):
-            evaluate(source, "oracle", cap=200).gaps
+        monkeypatch.setenv(ORACLE_CAP_ENV, "5100")
+        assert len(evaluate(source, "oracle").gaps) == 5100
+        monkeypatch.setenv(ORACLE_CAP_ENV, "5099")
+        evaluation = evaluate(source, "oracle")
+        assert evaluation.apery.modulus == 101  # under the cap
+        with pytest.raises(OracleInfeasibleError, match=ORACLE_CAP_ENV):
+            evaluation.gaps
 
     def test_pseudo_frobenius_frozen(self):
         assert pseudo_frobenius_from_apery(apery_set([5, 11, 23])) == [17, 29]
         assert pseudo_frobenius_from_apery(apery_set([7, 15, 31])) == [54, 55]
         assert pseudo_frobenius_from_apery(
             apery_set([15, 31, 63, 127])) == [237, 238, 239]
+
+    def test_pseudo_frobenius_ignores_cap_on_built_set(self, monkeypatch):
+        # the cap guards building the residue table, not reading one
+        ape = apery_set([5, 11, 23])
+        monkeypatch.setenv(ORACLE_CAP_ENV, "2")
+        assert pseudo_frobenius_from_apery(ape) == [17, 29]
 
     def test_pf_definition_via_reference(self):
         for gens in ([5, 11, 23], [7, 23, 71], [4, 9], [6, 10, 15],
