@@ -79,7 +79,7 @@ def evaluate(source, engine: str) -> Evaluation:
     """The one evaluation path of the library, the CLI and the verifier.
 
     engine "closed" evaluates the formulas at FamilyParams; engine "oracle"
-    derives everything from one Dijkstra run over the generators of
+    derives everything from one oracle Apery set of the generators of
     FamilyParams or of an explicit generator list.  Each quantity of the
     result is computed on first use and kept.  Any other engine, or the
     closed engine on a generator list, raises InvalidParamsError.

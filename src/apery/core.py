@@ -2,9 +2,10 @@
 
 The one computational object here is the Apery set of the least generator:
 the minimum semigroup element in each residue class mod a.  It is computed
-by shortest-path relaxation over the residue graph, and every classical
-quantity (Frobenius number, genus, gaps, pseudo-Frobenius set, type) is
-derived from it.  This module is the independent oracle that the package's
+as shortest paths over the residue graph, by one heap-free round-robin
+pass per generator (O(a*k) for k generators), and every classical quantity
+(Frobenius number, genus, gaps, pseudo-Frobenius set, type) is derived
+from it.  This module is the independent oracle that the package's
 closed-form evaluators are checked against.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.  The number
@@ -14,8 +15,8 @@ requests into an OracleInfeasibleError instead of an out-of-memory crash.
 """
 from __future__ import annotations
 
-import heapq
 import os
+import re
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -28,17 +29,22 @@ ORACLE_CAP_ENV = "SEMIGROUP_ORACLE_CAP"
 ENGINE_ORACLE = "oracle"
 ENGINE_CLOSED = "closed-form"
 
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
 
 def residue_cap() -> int:
     """Effective residue cap: the env setting, else the default."""
     env = os.environ.get(ORACLE_CAP_ENV)
-    if env:
+    if not env:
+        return DEFAULT_RESIDUE_CAP
+    # int() alone would also take "1_000" and non-ASCII digits
+    if _DECIMAL.fullmatch(env):
         try:
             return int(env)
-        except ValueError:
-            raise InvalidParamsError(
-                f"{ORACLE_CAP_ENV} must be a decimal integer, got {env!r}")
-    return DEFAULT_RESIDUE_CAP
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InvalidParamsError(
+        f"{ORACLE_CAP_ENV} must be a decimal integer, got {env!r}")
 
 
 def check_cap(count: int, what: str) -> None:
@@ -170,14 +176,20 @@ class SemigroupReport:
 
 
 def apery_set(gens) -> AperySet:
-    """Compute the Apery set of the least generator by Dijkstra over residues.
+    """Compute the Apery set of the least generator by round robin.
 
     Nodes are the residue classes 0..a-1 (a = least generator); each other
-    generator g contributes edges r -> (r + g) mod a of weight g.  The
+    generator g contributes edges r -> (r + g) mod a of weight g, and the
     shortest distance from 0 to r is exactly the least semigroup element
     congruent to r mod a.  Multiple generators sharing a residue class are
     pruned to the smallest, which dominates pointwise; the pruned steps are
     stored as the result's generators for the pseudo-Frobenius step.
+
+    The distances are found by the round-robin algorithm of Boecker and
+    Liptak (Algorithmica 2007): the steps are added one at a time, and each
+    step g walks every cycle r -> r + g of the residues once, from the
+    cycle's least entry, so the table is exact for the steps added so far
+    after each walk.  That is O(a) per step and O(a*k) in all, with no heap.
     """
     gens = _as_generators(gens)
     a = gens.least
@@ -187,24 +199,37 @@ def apery_set(gens) -> AperySet:
 
     steps = _successor_steps(gens.elements[1:], a)
 
-    INF = None
-    dist: list[int | None] = [INF] * a
-    dist[0] = 0
-    heap: list[tuple[int, int]] = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist[r] is not None and d > dist[r]:
-            continue
-        for g in steps:
-            r2 = (r + g) % a
-            d2 = d + g
-            if dist[r2] is None or d2 < dist[r2]:
-                dist[r2] = d2
-                heapq.heappush(heap, (d2, r2))
-    if any(d is None for d in dist):
+    # every Apery element is a sum of at most a-1 steps, so below this
+    unreached = a * steps[-1]
+    table = [unreached] * a
+    table[0] = 0
+    for g in steps:
+        step = g % a
+        if table[step] <= g:
+            continue  # g is already in the semigroup built so far
+        p = gcd(a, step)
+        length = a // p - 1
+        for c in range(p):
+            cycle = table[c::p]
+            w = min(cycle)
+            if w == unreached:
+                continue
+            # a walk from the cycle's least entry is exact in one pass
+            r = c + cycle.index(w) * p
+            for _ in range(length):
+                r += step
+                if r >= a:
+                    r -= a
+                w += g
+                t = table[r]
+                if t < w:
+                    w = t
+                else:
+                    table[r] = w
+    if unreached in table:
         # unreachable residue would contradict gcd(gens) = 1
         raise ConsistencyError("residue graph not fully reachable despite gcd 1")
-    return AperySet(a, tuple(dist), steps)
+    return AperySet(a, tuple(table), steps)
 
 
 def frobenius_from_apery(ape: AperySet) -> int:
@@ -318,7 +343,8 @@ class Evaluation:
 
 
 class OracleEvaluation(Evaluation):
-    """Everything from one Dijkstra Apery set of the generators in source."""
+    """Everything from one oracle Apery set (core.apery_set) of the
+    generators in source."""
 
     engine = ENGINE_ORACLE
 

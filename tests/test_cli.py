@@ -244,7 +244,9 @@ class TestInfeasible:
                "0 divergences\nproperties: 3 run, 3 passed, 0 skipped, "
                "0 mismatches, 0 divergences\n"),
           ]),
-        ("1e3", "report --gens 5,7", EXIT_INVALID, ""),
+        # int() would take "1_000" and the Arabic-Indic digit three
+        *((setting, "report --gens 5,7", EXIT_INVALID, "")
+          for setting in ("1e3", "1_000", "\u0663")),
     ])
     def test_cap_env_settings(self, capsys, monkeypatch, setting, argv,
                               code, out):

@@ -1,5 +1,5 @@
-"""Oracle engine tests: Apery sets by shortest path, quantities derived
-from them, and agreement with the naive sieve reference."""
+"""Oracle engine tests: Apery sets by the round-robin shortest-path pass,
+quantities derived from them, and agreement with the naive sieve reference."""
 from random import Random
 
 import pytest
@@ -205,6 +205,73 @@ class TestAgainstSieve:
         assert frobenius_from_apery(ape) == oracle_ref.ref_frobenius(gens)
         assert genus_from_apery(ape) == oracle_ref.ref_genus(gens)
         assert gaps(ape) == oracle_ref.ref_gaps(gens)
+
+
+def _smooth(n: int) -> bool:
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@st.composite
+def smooth_least_sets(draw):
+    """Least generator a product of small primes and other generators
+    drawn as multiples of its divisors, so that gcd(a, g) > 1 is common."""
+    least = draw(st.sampled_from([n for n in range(4, 121) if _smooth(n)]))
+    divisors = [1] + [f for f in range(2, least + 1) if least % f == 0]
+    gens = {least}
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        f = draw(st.sampled_from(divisors))
+        gens.add(f * draw(st.integers(min_value=least // f + 1,
+                                      max_value=3 * least // f)))
+    if not oracle_ref.coprime(gens):
+        gens.add(least + 1)  # consecutive integers force gcd 1
+    return sorted(gens)
+
+
+class TestRoundRobin:
+    """Each branch of the round-robin pass in apery_set, against the
+    naive reference, and the pruned steps it stores as generators."""
+
+    @pytest.mark.parametrize("gens, steps", [
+        # gcd(6, 8) = 2: the odd classes wait, unreached, for 9
+        ((6, 8, 9), (8, 9)),
+        # 20 walks the cycle {2, 6, 10} from 6, 27 the cycle {1, 4, 7, 10}
+        # from 4: starts away from residue 0
+        ((12, 18, 20, 27), (18, 20, 27)),
+        # 14 = 7 + 7 is already in the semigroup when its turn comes
+        ((5, 7, 14), (7, 14)),
+        # 21 = 0 mod 7 leads to no other class and is pruned
+        ((7, 10, 21), (10,)),
+    ])
+    def test_branches_match_reference(self, gens, steps):
+        ape = apery_set(gens)
+        assert list(ape.minima) == oracle_ref.ref_apery(gens)
+        assert ape.generators == steps
+
+    def test_matches_reference_on_seeded_sets(self):
+        rng = Random(2007)
+        for _ in range(25):
+            a = rng.randint(2, 400)
+            f = rng.choice([d for d in range(1, a + 1) if a % d == 0])
+            gens = [a]
+            for _ in range(rng.randint(1, 5)):
+                m = rng.choice((1, f))
+                gens.append(m * rng.randint(a // m + 1, 2 * a // m))
+            if not oracle_ref.coprime(gens):
+                gens.append(a + 1)  # consecutive integers force gcd 1
+            ape = apery_set(gens)
+            assert list(ape.minima) == oracle_ref.ref_apery(gens), gens
+            classes = {g % a for g in gens} - {0}
+            assert ape.generators == tuple(sorted(
+                min(g for g in gens if g % a == r) for r in classes)), gens
+
+    @given(smooth_least_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_smooth_least_generator_matches_reference(self, gens):
+        ape = apery_set(gens)
+        assert list(ape.minima) == oracle_ref.ref_apery(gens)
 
 
 def _pf_generator_set(rng: Random, shape: int) -> list[int]:
