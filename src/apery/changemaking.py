@@ -1,18 +1,17 @@
 """Change-making machinery behind the closed-form evaluators.
 
-Covers the optimal and greedy representation counts for a coin system, the
-incremental One-Point certification of greedy optimality (orderliness), and
-greedy digit presentations over the base-b repunit sequence
-(1, b+1, b^2+b+1, ...) together with their colexicographic order and weights.
+Covers the optimal and greedy representation counts for a coin system,
+Pearson's test of greedy optimality (orderliness), and greedy digit
+presentations over the base-b repunit sequence (1, b+1, b^2+b+1, ...)
+together with their colexicographic order and weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidParamsError, OracleInfeasibleError
-
-DEFAULT_DP_CAP = 10**8
+from .core import check_cap
+from .errors import InvalidParamsError
 
 
 @dataclass(frozen=True)
@@ -47,18 +46,17 @@ def repunit_value(b: int, n: int) -> int:
     return (b**n - 1) // (b - 1)
 
 
-def _coin_values(b: int, k: int) -> list[int]:
-    # the repunit denominations 1, b+1, ..., (b^k-1)/(b-1), unvalidated
-    return [repunit_value(b, i) for i in range(1, k + 1)]
-
-
 def repunit_coins(b: int, k: int) -> CoinSystem:
     """The sequence (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)) as a coin system."""
     if b < 2:
         raise InvalidParamsError(f"base must be >= 2, got {b}")
     if k < 1:
         raise InvalidParamsError(f"length must be >= 1, got {k}")
-    return CoinSystem(_coin_values(b, k))
+    coins, r = [], 1
+    for _ in range(k):
+        coins.append(r)
+        r = b * r + 1
+    return CoinSystem(coins)
 
 
 def _check_amount(M: int) -> None:
@@ -69,14 +67,13 @@ def _check_amount(M: int) -> None:
 def opt_count(coins, M: int) -> int:
     """Minimum number of coins summing to M, by bottom-up dynamic programming.
 
-    The table has M+1 cells; amounts above DEFAULT_DP_CAP (10**8 cells)
-    raise OracleInfeasibleError rather than exhausting memory.
+    The table has M+1 cells; more cells than the residue cap
+    (SEMIGROUP_ORACLE_CAP, default 10**7) raise OracleInfeasibleError
+    rather than exhausting memory.
     """
     coins = _as_coins(coins)
     _check_amount(M)
-    if M + 1 > DEFAULT_DP_CAP:
-        raise OracleInfeasibleError(
-            f"amount {M} needs {M + 1} DP cells, above the cap {DEFAULT_DP_CAP}")
+    check_cap(M + 1, "DP cells")
     return _opt_counts_upto(coins.denominations, M)[M]
 
 
@@ -117,28 +114,35 @@ class Orderliness(NamedTuple):
 
 
 def is_orderly(coins) -> Orderliness:
-    """Decide whether greedy is optimal for every amount (One-Point procedure).
+    """Decide whether greedy is optimal for every amount (Pearson's test).
 
-    Coins are certified one prefix at a time: with (1, c_1, ..., c_j) already
-    orderly and c the next coin, the single amount t = ceil(c / c_j) * c_j
-    decides the extension.  At t the optimum uses the new coin at most once
-    (t < 2c) and the remainder t - c is below c_j, so both optimum branches
-    reduce to greedy counts over the certified prefix.  On failure the first
-    failing test amount is returned; it need not be the globally smallest
+    With the coins descending, c_1 > ... > c_n = 1, the smallest amount at
+    which greedy is not optimal, if there is one, has an optimal
+    representation that copies the greedy digits of c_(i-1) - 1 on
+    c_i..c_(j-1), takes one more c_j than they do and no smaller coin, for
+    some 2 <= i <= j <= n (Pearson, Oper. Res. Lett. 33, 2005).  So
+    comparing greedy with those O(n^2) candidates decides orderliness, and
+    on failure the smallest failing candidate is the smallest
     counterexample.
     """
-    coins = _as_coins(coins)
-    denoms = coins.denominations
-    for j in range(1, len(denoms)):
-        prev, new = denoms[j - 1], denoms[j]
-        s = -(-new // prev)  # ceil
-        t = s * prev
-        prefix = denoms[:j]
-        with_new = 1 + _greedy_prefix(prefix, t - new)  # greedy over extended system
-        without_new = _greedy_prefix(prefix, t)
-        if without_new < with_new:
-            return Orderliness(False, t)
-    return Orderliness(True, None)
+    denoms = _as_coins(coins).denominations
+    desc = denoms[::-1]
+    found = None
+    for i in range(1, len(desc)):
+        # greedy digits of c_(i-1) - 1, largest coin first
+        rest, digits = desc[i - 1] - 1, []
+        for c in desc:
+            q, rest = divmod(rest, c)
+            digits.append(q)
+        value = count = 0  # of the copied digits on c_i..c_(j-1)
+        for j in range(i, len(desc)):
+            w = value + (digits[j] + 1) * desc[j]
+            if _greedy_prefix(denoms, w) > count + digits[j] + 1 \
+                    and (found is None or w < found):
+                found = w
+            value += digits[j] * desc[j]
+            count += digits[j]
+    return Orderliness(found is None, found)
 
 
 @dataclass(frozen=True)

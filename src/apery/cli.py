@@ -386,6 +386,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # answers can be longer than the 4300 digits that Python 3.11 and the
+    # later 3.10 releases convert between int and str by default; lift that
+    # limit while this call runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,14 @@ formulas with no search, for every a >= 2 and k >= 1:
 4. opt(x-1) <= opt(x) + b-1: drop a unit coin, or trade one coin R_j
    (j >= 2) for b coins R_(j-1), since R_j - 1 = b*R_(j-1).
 5. Hence w_(a-1) - w_r >= (a-1-r)*d > 0, so F = w_(a-1) - a.
+6. Only the repunits below a matter.  A coin R_i >= a never enters the
+   greedy digit sum s(r) of a class index r < a.  And its generator is
+   redundant: write R_i = q*a + r with q >= 1; then g_i = R_i*step + a is
+   congruent to w_r mod a and g_i - w_r = q*a*step + (1 - s(r))*a > 0, as
+   s(r) <= r < a < step, so g_i is w_r, a sum of a and the g_j with
+   R_j < a, plus a multiple of a.  So F, the genus, the Apery set and the
+   successor test for PF read only the coins R_i < a with i <= k, at most
+   about log_b(a) of them however large k is.
 
 The genus follows from the Apery set by Selmer's formula and PF by the
 successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and
@@ -30,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .changemaking import _coin_values, _greedy_prefix, repunit_value
+from .changemaking import _greedy_prefix, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
     OracleEvaluation, SemigroupReport, _cached, check_cap, \
     pseudo_frobenius_from_apery
@@ -101,20 +109,39 @@ class ClosedEvaluation(Evaluation):
     engine = ENGINE_CLOSED
 
     @_cached
+    def coins(self) -> list[int]:
+        # the repunits R_i < a with i <= k, by R <- b*R + 1 (step 6 above)
+        p = self.source
+        coins, r = [], 1
+        while r < p.a and len(coins) < p.k:
+            coins.append(r)
+            r = p.b * r + 1
+        return coins
+
+    @_cached
+    def repunit_n(self) -> int | None:
+        # a = R_(k+1) exactly when every R_i with i <= k lies below a and
+        # the next repunit b*R_k + 1 is a
+        p, coins = self.source, self.coins
+        if len(coins) == p.k and p.b * coins[-1] + 1 == p.a:
+            return p.k + 1
+        return None
+
+    @_cached
     def frobenius(self) -> int:
         p = self.source
-        s_top = _greedy_prefix(_coin_values(p.b, p.k), p.a - 1)
+        s_top = _greedy_prefix(self.coins, p.a - 1)
         return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
     @_cached
     def genus(self) -> int:
         p = self.source
         a, b, d = p.a, p.b, p.d
-        n = repunit_specialization(p)
+        n = self.repunit_n
         if n is not None:
             return repunit_general_genus(b, n, d)
-        values = _coin_values(b, p.k)
-        series = sum(_greedy_prefix(values, r) for r in range(1, a))
+        coins = self.coins
+        series = sum(_greedy_prefix(coins, r) for r in range(1, a))
         # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even
         # forces d odd
         return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
@@ -128,7 +155,8 @@ class ClosedEvaluation(Evaluation):
         check_cap(a, "residue classes")
         # residue s holds class index s/d mod a
         d_inv = pow(d, -1, a)
-        return tuple(_class_minima(p, [s * d_inv % a for s in range(a)]))
+        return tuple(_class_minima(p, self.coins,
+                                   [s * d_inv % a for s in range(a)]))
 
     @_cached
     def generators(self) -> GeneratorList:
@@ -136,30 +164,34 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def apery(self) -> AperySet:
-        return AperySet(self.source.a, self.minima, self.generators.elements)
+        # a and the g_i with R_i < a generate the semigroup (step 6)
+        p = self.source
+        step = (p.b - 1) * p.a + p.d
+        return AperySet(p.a, self.minima,
+                        (p.a, *(r * step + p.a for r in self.coins)))
 
     @_cached
     def pf(self) -> tuple[int, ...]:
         p = self.source
-        n = repunit_specialization(p)
+        n = self.repunit_n
         if n is not None:
             return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
         return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
-def _class_minima(p: FamilyParams, indices) -> list[int]:
+def _class_minima(p: FamilyParams, coins, indices) -> list[int]:
     # w_r = (greedy digit sum of r) * a + r * step for each class index r,
     # the least element congruent to d*r mod a (steps 2 and 3 above)
-    a, values = p.a, _coin_values(p.b, p.k)
+    a = p.a
     step = (p.b - 1) * a + p.d
-    return [_greedy_prefix(values, r) * a + r * step for r in indices]
+    return [_greedy_prefix(coins, r) * a + r * step for r in indices]
 
 
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= r < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    return _class_minima(p, (r,))[0]
+    return _class_minima(p, ClosedEvaluation(p).coins, (r,))[0]
 
 
 def apery_closed(p: FamilyParams) -> AperySet:
@@ -180,18 +212,22 @@ def frobenius_closed(p: FamilyParams) -> int:
 def genus_closed(p: FamilyParams) -> int:
     """Genus: digit-sum series over classes 1..a-1 plus (a-1)((b-1)a+d-1)/2.
 
-    The series is an O(a*k) loop of greedy digit sums over the repunit coins,
-    one per class; when (a, k) matches the repunit specialization
-    a = (b^(k+1)-1)/(b-1) the whole genus is repunit_general_genus instead
-    (the two are cross-checked in the test suite).
+    The series is a loop of greedy digit sums, one per class, over the
+    repunit coins below a: O(a*min(k, log_b a)) steps, with no bound on a,
+    so it is exponential in the bit length of a.  When (a, k) matches the
+    repunit specialization a = (b^(k+1)-1)/(b-1) the whole genus is
+    repunit_general_genus instead (the two are cross-checked in the test
+    suite).
     """
     return evaluate(p, "closed").genus
 
 
 def repunit_specialization(p: FamilyParams) -> int | None:
-    """Return n with a = (b^n - 1)/(b - 1) and k = n - 1, or None."""
-    n = p.k + 1
-    return n if repunit_value(p.b, n) == p.a else None
+    """Return n with a = (b^n - 1)/(b - 1) and k = n - 1, or None.
+
+    Builds the repunits only up to the first one at or above a.
+    """
+    return ClosedEvaluation(p).repunit_n
 
 
 def _check_repunit_args(b: int, n: int, d: int) -> int:
@@ -241,8 +277,8 @@ def report_closed(p: FamilyParams) -> SemigroupReport:
     """Closed-form report: F and g by formula everywhere.
 
     PF and type come from the specialized formula when (a, k) has the
-    repunit shape; otherwise from the closed Apery set, which carries the
-    family generators, by the O(a*k) successor test of
+    repunit shape; otherwise from the closed Apery set, which carries a and
+    the family generators g_i with R_i < a, by the successor test of
     pseudo_frobenius_from_apery.  The latter materializes a list of length
     a, so the residue cap applies off the repunit shape.
     """

@@ -6,9 +6,12 @@ class InvalidParamsError(ValueError):
 
 
 class OracleInfeasibleError(RuntimeError):
-    """A computation is too large for the brute-force engine (cap exceeded).
+    """A table would exceed the residue cap (SEMIGROUP_ORACLE_CAP).
 
-    This signals infeasibility of the requested table size, not a math error.
+    The one cap bounds every table the package builds: the residue classes
+    of an Apery set, oracle or closed, the gaps of a listing, the cells of
+    a change-making DP, and the grid points a verify sweep runs.  This
+    signals infeasibility of the requested table size, not a math error.
     """
 
 

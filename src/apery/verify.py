@@ -15,15 +15,11 @@ from functools import partial
 from math import gcd
 from random import Random
 
-from .changemaking import _coin_values, _opt_counts_upto, colex_compare, \
-    greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
+from .changemaking import _opt_counts_upto, colex_compare, greedy_count, \
+    greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import FamilyParams, evaluate
 from .core import residue_cap
 from .errors import ConsistencyError, InvalidParamsError
-
-# Oracle feasibility cutoff for grid sweeps; larger moduli are skipped with a
-# counted reason rather than attempted.
-ORACLE_GRID_LIMIT = 10**5
 
 # The monotonicity check compares each class's candidates at m = 0..5.
 _MONOTONE_M_LIMIT = 5
@@ -133,7 +129,13 @@ def _monotone_records(p: FamilyParams,
     # the per-class candidate at multiplier m must be nondecreasing in m;
     # evaluated through an independent DP, not the greedy shortcut
     a, b, d, k = p.a, p.b, p.d, p.k
-    dp = _opt_counts_upto(_coin_values(b, k), _MONOTONE_M_LIMIT * a + a - 1)
+    top = _MONOTONE_M_LIMIT * a + a - 1
+    # the repunits R_1..R_k up to the table's last amount
+    coins, c = [], 1
+    while c <= top and len(coins) < k:
+        coins.append(c)
+        c = b * c + 1
+    dp = _opt_counts_upto(coins, top)
     records = []
     for r in range(a):
         prev = None
@@ -186,17 +188,36 @@ def _run_case(grid: GridSpec, case) -> list[Mismatch]:
                       inject_mismatch=inject)
 
 
+def _coprime_upto(n: int, d: int) -> int:
+    # how many of 1..n are coprime to d: inclusion-exclusion over the
+    # squarefree divisors e of d, with Moebius sign
+    divisors = [(1, 1)]
+    q = 2
+    while q * q <= d:
+        if d % q == 0:
+            divisors += [(e * q, -sign) for e, sign in divisors]
+            while d % q == 0:
+                d //= q
+        q += 1
+    if d > 1:
+        divisors += [(e * d, -sign) for e, sign in divisors]
+    return sum(sign * (n // e) for e, sign in divisors)
+
+
 def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
                 inject_mismatch: bool = False) -> VerifyReport:
     """Sweep the grid and compare closed forms with the oracle case by case.
 
-    Cases with gcd(a, d) != 1 are skipped and counted, as are cases whose
-    modulus a exceeds the one oracle limit min(ORACLE_GRID_LIMIT,
-    residue_cap()), read once per sweep; the oracle accepts every other
-    point, a < k-1 included, as an ordinary case.  The report is
-    deterministic for a fixed grid regardless of jobs (elapsed time aside);
-    inject_mismatch corrupts the first case's Frobenius value to exercise
-    the failure path end to end.
+    Cases with gcd(a, d) != 1 are skipped and counted first.  A case runs
+    only when every table it builds fits the residue cap (residue_cap(),
+    read once per sweep): the a residue classes of each Apery set, and with
+    check_monotone the 6a DP cells of the candidate check.  The points above
+    that are counted per d, not visited, so a huge a_range costs no more
+    than its runnable part.  The oracle accepts every other point, a < k-1
+    included, as an ordinary case.  The report is deterministic for a fixed
+    grid regardless of jobs (elapsed time aside); inject_mismatch corrupts
+    the first case's Frobenius value to exercise the failure path end to
+    end.
 
     jobs < 1 raises InvalidParamsError.  The sweep runs in this process
     first.  With jobs > 1, once it has run for a quarter of a process-pool
@@ -209,22 +230,31 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     if jobs < 1:
         raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    limit = min(ORACLE_GRID_LIMIT, residue_cap())
+    tables = _MONOTONE_M_LIMIT + 1 if grid.check_monotone else 1
+    limit = residue_cap() // tables
+    a_lo, a_hi = grid.a_range
+    above = max(a_lo, limit + 1)  # the first a whose tables exceed the cap
+    d_values = range(grid.d_range[0], grid.d_range[1] + 1)
     cases = []
     skips = {SKIP_GCD: 0, SKIP_INFEASIBLE: 0}
     first = True
     for b in range(grid.b_range[0], grid.b_range[1] + 1):
         for k in range(grid.k_range[0], grid.k_range[1] + 1):
-            for d in range(grid.d_range[0], grid.d_range[1] + 1):
-                for a in range(grid.a_range[0], grid.a_range[1] + 1):
+            for d in d_values:
+                for a in range(a_lo, min(a_hi, limit) + 1):
                     if gcd(a, d) != 1:
                         skips[SKIP_GCD] += 1
                         continue
-                    if a > limit:
-                        skips[SKIP_INFEASIBLE] += 1
-                        continue
                     cases.append(((a, b, d, k), inject_mismatch and first))
                     first = False
+    if above <= a_hi:
+        # every (b, k) pair skips the same points above the limit
+        pairs = (grid.b_range[1] - grid.b_range[0] + 1) \
+            * (grid.k_range[1] - grid.k_range[0] + 1)
+        for d in d_values:
+            coprime = _coprime_upto(a_hi, d) - _coprime_upto(above - 1, d)
+            skips[SKIP_GCD] += pairs * (a_hi - above + 1 - coprime)
+            skips[SKIP_INFEASIBLE] += pairs * coprime
 
     # per-case cost spans 0.05 ms to 10 ms, so the rest is predicted from
     # the sweep's own clock, not from a case count, once a quarter of a

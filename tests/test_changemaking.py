@@ -17,7 +17,6 @@ from apery import (
     repunit_coins,
     weight,
 )
-from apery import changemaking
 
 import oracle_ref
 
@@ -64,7 +63,7 @@ class TestCounts:
         with pytest.raises(OracleInfeasibleError):
             opt_count([1, 5], 10**9)
         # amount M needs M + 1 cells: 9 fits a cap of 10, 10 does not
-        monkeypatch.setattr(changemaking, "DEFAULT_DP_CAP", 10)
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "10")
         assert opt_count([1, 5], 9) == 5
         with pytest.raises(OracleInfeasibleError):
             opt_count([1, 5], 10)
@@ -102,6 +101,22 @@ class TestOrderliness:
                 verdict = is_orderly(repunit_coins(b, k))
                 assert verdict.orderly, (b, k)
                 assert verdict.counterexample is None
+
+    def test_orderly_despite_a_non_orderly_prefix(self):
+        # (1, 2, 12, 13) fails at 24 = 12 + 12, but the coin 24 mends it
+        assert not is_orderly([1, 2, 12, 13]).orderly
+        assert is_orderly([1, 2, 12, 13, 24]) == (True, None)
+
+    def test_counterexample_is_the_smallest(self):
+        # a failing prefix need not fail at the smallest amount, nor at one
+        # where the whole system fails: (1, 7, 10) fails at 14, but in
+        # (1, 7, 10, 13) greedy pays 14 = 13 + 1 optimally
+        for coins, cx in (([1, 7, 10, 13], 17), ([1, 3, 10, 11], 13),
+                          ([1, 4, 6, 9], 8), ([1, 2, 12, 13, 30], 24)):
+            assert is_orderly(coins) == (False, cx)
+            assert opt_count(coins, cx) < greedy_count(coins, cx)
+            assert all(opt_count(coins, m) == greedy_count(coins, m)
+                       for m in range(cx))
 
     def test_counterexample_is_genuine(self):
         for coins in ([1, 3, 4], [1, 5, 8], [1, 4, 6, 9], [1, 10, 25]):

@@ -9,7 +9,8 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from apery import cli, core, frobenius_closed, genus_closed, thabit
+from apery import cli, core, frobenius_closed, genus_closed, \
+    repunit_general_frobenius, thabit
 from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
@@ -317,6 +318,19 @@ class TestOneEvaluation:
         assert "cap" in err
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's int/str digit limit at its default of 4300 for the test, or
+    None where this Python has no limit; the old setting is put back after."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
 class TestFamilyCommand:
     def test_repunit_example(self, capsys):
         code, out, _ = run_cli(capsys, "family", "repunit", "--b", "3",
@@ -380,6 +394,28 @@ class TestFamilyCommand:
         assert isinstance(record["frobenius"], str)
         assert int(record["frobenius"]) == 2**140 - 2**70 - 1
         assert record["type"] == 69
+
+    def test_answers_past_4300_digits_print(self, capsys, digit_limit):
+        # F has about 4500 digits, more than Python 3.11 converts to str by
+        # default; main lifts that limit while it runs and then restores it
+        b = 10**1500
+        outputs = {}
+        for fmt in ("plain", "json", "csv"):
+            code, outputs[fmt], err = run_cli(
+                capsys, "family", "repunit", "--b", str(b), "--n", "2",
+                "--format", fmt)
+            assert (code, err) == (EXIT_OK, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == digit_limit
+        if digit_limit is not None:  # for this test's own conversions
+            sys.set_int_max_str_digits(0)
+        frob = str(repunit_general_frobenius(b, 2))
+        assert f"frobenius: {frob}\n" in outputs["plain"]
+        row = next(csv.DictReader(io.StringIO(outputs["csv"])))
+        assert row["frobenius"] == frob
+        record = parse_record(outputs["json"])
+        assert str(record.frobenius) == frob
+        assert parse_record(serialize_record(record)) == record
 
 
 class TestOrderlyCommand:

@@ -1,5 +1,6 @@
 """Closed-form evaluator tests: formulas against the oracle and against
 frozen, independently confirmed values."""
+import time
 from math import gcd
 
 import pytest
@@ -312,6 +313,41 @@ class TestReportClosed:
         assert t == 39
         assert max(pf) == frob
         assert min(pf) == frob - 38 * 7
+
+
+class TestRepunitsBelowA:
+    """Step 6 of the closed_forms docstring: coins R_i >= a change nothing."""
+
+    def test_k_past_the_last_repunit_below_a_changes_nothing(self):
+        for b in range(2, 5):
+            for a in range(2, 41):
+                # kappa: how many repunits lie below a
+                kappa = max(i for i in range(1, 8) if repunit_value(b, i) < a)
+                for d in (1, 2, 5):
+                    if gcd(a, d) != 1:
+                        continue
+                    for k in range(1, 13):
+                        ev = evaluate(FamilyParams(a, b, d, k), "closed")
+                        cut = evaluate(FamilyParams(a, b, d, min(k, kappa)),
+                                       "closed")
+                        oracle = semigroup_report(
+                            build_generators(FamilyParams(a, b, d, k)))
+                        got = (ev.frobenius, ev.genus, ev.minima, ev.pf)
+                        assert got == (cut.frobenius, cut.genus, cut.minima,
+                                       cut.pf), (a, b, d, k)
+                        assert (ev.frobenius, ev.genus, ev.pf) == (
+                            oracle.frobenius, oracle.genus, oracle.pf)
+                        assert len(ev.coins) == min(k, kappa)
+
+    def test_huge_k_answers_at_once(self):
+        started = time.perf_counter()
+        report = report_closed(FamilyParams(7, 2, 1, 10**6))
+        assert (report.frobenius, report.genus, report.pf) == (55, 32,
+                                                               (54, 55))
+        # R_2 = b + 1 already passes a = 7, so the search stops there
+        assert repunit_specialization(
+            FamilyParams(7, 10**100, 1, 10**6)) is None
+        assert time.perf_counter() - started < 1.0
 
 
 class TestDocumentedGenusVariant:

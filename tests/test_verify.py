@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
@@ -116,13 +117,47 @@ class TestCrossCheck:
         assert [(dict(m.params), m.quantity) for m in report.mismatches] == [
             ({"a": 2, "b": 2, "d": 3, "k": 1}, "frobenius-injected")]
 
-    def test_grid_above_the_oracle_limit_runs_nothing(self):
-        lo = verify.ORACLE_GRID_LIMIT + 1
+    def test_grid_above_the_oracle_limit_runs_nothing(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", str(10**5))
+        lo = 10**5 + 1
         report = cross_check(GridSpec(a_range=(lo, lo + 3), b_range=(2, 3),
                                       d_range=(1, 1), k_range=(1, 2)))
         assert (report.cases_run, report.cases_passed) == (0, 0)
         assert report.skipped == (("oracle-infeasible", 16),)
         assert report.ok
+
+    def test_huge_a_range_counts_the_points_above_the_cap(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "20")
+        small = cross_check(GridSpec(a_range=(2, 20)))
+        huge = cross_check(GridSpec(a_range=(2, 10**12)))
+        assert (huge.cases_run, huge.cases_passed) == \
+            (small.cases_run, small.cases_passed) == (1040, 1040)
+        assert huge.cases_skipped == 16 * 5 * (10**12 - 1) - 1040
+
+    def test_skip_counts_match_a_point_by_point_count(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "20")
+        grid = GridSpec(a_range=(7, 700), b_range=(2, 3), d_range=(1, 30),
+                        k_range=(1, 2))
+        expected = {"gcd": 0, "oracle-infeasible": 0}
+        for d in range(1, 31):
+            for a in range(7, 701):
+                # the gcd test comes first, as in the sweep
+                reason = "gcd" if gcd(a, d) != 1 else \
+                    "oracle-infeasible" if a > 20 else None
+                if reason:
+                    expected[reason] += 2 * 2
+        assert dict(cross_check(grid).skipped) == expected
+
+    def test_monotone_check_needs_six_cells_per_class(self, monkeypatch):
+        # its DP table has 6a cells, so a cap of 60 runs only a <= 10
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "60")
+        grid = dict(a_range=(2, 20), b_range=(2, 2), d_range=(1, 1),
+                    k_range=(1, 1))
+        plain = cross_check(GridSpec(**grid))
+        assert (plain.cases_run, plain.skipped) == (19, ())
+        monotone = cross_check(GridSpec(**grid, check_monotone=True))
+        assert (monotone.cases_run, monotone.cases_passed) == (9, 9)
+        assert monotone.skipped == (("oracle-infeasible", 10),)
 
     def test_run_single_builds_the_generators_once(self, monkeypatch):
         calls = []
