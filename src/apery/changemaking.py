@@ -95,14 +95,19 @@ def greedy_count(coins, M: int) -> int:
     """Number of coins the largest-first greedy strategy uses for M."""
     coins = _as_coins(coins)
     _check_amount(M)
-    return _greedy_prefix(coins.denominations, M)
+    return _greedy_prefix(coins.denominations[:0:-1], M)
 
 
-def _greedy_prefix(denoms: Sequence[int], M: int) -> int:
-    # greedy count over denominations ascending from the unit coin, which
-    # takes the remainder; unvalidated, for callers that checked their input
+def _greedy_prefix(above: Sequence[int], M: int) -> int:
+    """Greedy coin count for M given the coins above the unit coin, largest
+    first; the unit coin takes the remainder.
+
+    Unvalidated, for callers that checked their input.  A caller that counts
+    many amounts over one coin system reverses its coins once and passes the
+    same sequence every time.
+    """
     n = 0
-    for c in denoms[:0:-1]:
+    for c in above:
         q, M = divmod(M, c)
         n += q
     return n + M
@@ -125,8 +130,8 @@ def is_orderly(coins) -> Orderliness:
     on failure the smallest failing candidate is the smallest
     counterexample.
     """
-    denoms = _as_coins(coins).denominations
-    desc = denoms[::-1]
+    desc = _as_coins(coins).denominations[::-1]
+    above = desc[:-1]  # all but the unit coin, for _greedy_prefix
     found = None
     for i in range(1, len(desc)):
         # greedy digits of c_(i-1) - 1, largest coin first
@@ -137,7 +142,7 @@ def is_orderly(coins) -> Orderliness:
         value = count = 0  # of the copied digits on c_i..c_(j-1)
         for j in range(i, len(desc)):
             w = value + (digits[j] + 1) * desc[j]
-            if _greedy_prefix(denoms, w) > count + digits[j] + 1 \
+            if _greedy_prefix(above, w) > count + digits[j] + 1 \
                     and (found is None or w < found):
                 found = w
             value += digits[j] * desc[j]

@@ -12,6 +12,7 @@ import csv
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
@@ -77,12 +78,30 @@ def _decode(obj):
     return obj
 
 
+@contextmanager
+def _any_digits():
+    # answers can be longer than the 4300 digits that Python 3.11 and the
+    # later 3.10 releases convert between int and str by default; lift that
+    # limit while the block runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def serialize_record(record: OutputRecord) -> str:
-    return json.dumps(_encode(record.to_dict()))
+    with _any_digits():
+        return json.dumps(_encode(record.to_dict()))
 
 
 def parse_record(text: str) -> OutputRecord:
-    return OutputRecord(**_decode(json.loads(text)))
+    with _any_digits():
+        return OutputRecord(**_decode(json.loads(text)))
 
 
 def _emit(fmt: str, payload, header, rows, lines) -> None:
@@ -386,17 +405,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # answers can be longer than the 4300 digits that Python 3.11 and the
-    # later 3.10 releases convert between int and str by default; lift that
-    # limit while this call runs
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with _any_digits():
         return _main(argv)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _main(argv) -> int:

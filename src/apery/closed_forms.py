@@ -119,6 +119,11 @@ class ClosedEvaluation(Evaluation):
         return coins
 
     @_cached
+    def above_unit(self) -> list[int]:
+        # the coins other than 1, largest first, as _greedy_prefix reads them
+        return self.coins[:0:-1]
+
+    @_cached
     def repunit_n(self) -> int | None:
         # a = R_(k+1) exactly when every R_i with i <= k lies below a and
         # the next repunit b*R_k + 1 is a
@@ -130,7 +135,7 @@ class ClosedEvaluation(Evaluation):
     @_cached
     def frobenius(self) -> int:
         p = self.source
-        s_top = _greedy_prefix(self.coins, p.a - 1)
+        s_top = _greedy_prefix(self.above_unit, p.a - 1)
         return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
     @_cached
@@ -140,8 +145,8 @@ class ClosedEvaluation(Evaluation):
         n = self.repunit_n
         if n is not None:
             return repunit_general_genus(b, n, d)
-        coins = self.coins
-        series = sum(_greedy_prefix(coins, r) for r in range(1, a))
+        above = self.above_unit
+        series = sum(_greedy_prefix(above, r) for r in range(1, a))
         # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even
         # forces d odd
         return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
@@ -155,7 +160,7 @@ class ClosedEvaluation(Evaluation):
         check_cap(a, "residue classes")
         # residue s holds class index s/d mod a
         d_inv = pow(d, -1, a)
-        return tuple(_class_minima(p, self.coins,
+        return tuple(_class_minima(p, self.above_unit,
                                    [s * d_inv % a for s in range(a)]))
 
     @_cached
@@ -179,19 +184,20 @@ class ClosedEvaluation(Evaluation):
         return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
-def _class_minima(p: FamilyParams, coins, indices) -> list[int]:
+def _class_minima(p: FamilyParams, above, indices) -> list[int]:
     # w_r = (greedy digit sum of r) * a + r * step for each class index r,
-    # the least element congruent to d*r mod a (steps 2 and 3 above)
+    # the least element congruent to d*r mod a (steps 2 and 3 above); above
+    # is ClosedEvaluation.above_unit
     a = p.a
     step = (p.b - 1) * a + p.d
-    return [_greedy_prefix(coins, r) * a + r * step for r in indices]
+    return [_greedy_prefix(above, r) * a + r * step for r in indices]
 
 
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= r < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    return _class_minima(p, ClosedEvaluation(p).coins, (r,))[0]
+    return _class_minima(p, ClosedEvaluation(p).above_unit, (r,))[0]
 
 
 def apery_closed(p: FamilyParams) -> AperySet:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import islice
 from math import gcd
+from operator import sub
 from random import Random
 
 from .changemaking import _opt_counts_upto, colex_compare, greedy_count, \
@@ -124,29 +126,48 @@ def _param_items(p: FamilyParams) -> tuple[tuple[str, int], ...]:
     return (("a", p.a), ("b", p.b), ("d", p.d), ("k", p.k))
 
 
-def _monotone_records(p: FamilyParams,
-                      params: tuple[tuple[str, int], ...]) -> list[Mismatch]:
-    # the per-class candidate at multiplier m must be nondecreasing in m;
-    # evaluated through an independent DP, not the greedy shortcut
-    a, b, d, k = p.a, p.b, p.d, p.k
-    top = _MONOTONE_M_LIMIT * a + a - 1
-    # the repunits R_1..R_k up to the table's last amount
+def _repunit_counts(b: int, k: int, top: int) -> list[int]:
+    # min-coin counts over the repunits R_1..R_k for the amounts 0..top,
+    # through an independent DP, not the greedy shortcut; a cell does not
+    # depend on top, so a longer table serves every shorter need
     coins, c = [], 1
     while c <= top and len(coins) < k:
         coins.append(c)
         c = b * c + 1
-    dp = _opt_counts_upto(coins, top)
+    return _opt_counts_upto(coins, top)
+
+
+# the table of the current (b, k) block of a cross_check sweep, sized for
+# its largest a; cross_check clears it before it returns
+_block_counts = lru_cache(maxsize=1)(_repunit_counts)
+
+
+def _monotone_records(p: FamilyParams, params: tuple[tuple[str, int], ...],
+                      dp: list[int] | None = None) -> list[Mismatch]:
+    # the per-class candidate value(M) = ((b-1)M + dp[M])a + Md at
+    # M = r + m*a must be nondecreasing in m = 0..5; dp holds at least the
+    # 6a cells 0..6a-1 and is built here when not given
+    a, b, d = p.a, p.b, p.d
+    cells = (_MONOTONE_M_LIMIT + 1) * a
+    if dp is None:
+        dp = _repunit_counts(b, p.k, cells - 1)
+    # value(M+a) - value(M) = a*((b-1)a + d - (dp[M] - dp[M+a])), so the
+    # candidate drops exactly where dp[M] - dp[M+a] exceeds (b-1)a + d
+    rise = (b - 1) * a + d
+    if max(map(sub, dp, islice(dp, a, cells))) <= rise:
+        return []
+
+    def value(big_m):
+        return ((b - 1) * big_m + dp[big_m]) * a + big_m * d
+
     records = []
     for r in range(a):
-        prev = None
-        for m in range(_MONOTONE_M_LIMIT + 1):
+        for m in range(1, _MONOTONE_M_LIMIT + 1):
             big_m = m * a + r
-            value = ((b - 1) * big_m + dp[big_m]) * a + big_m * d
-            if prev is not None and value < prev:
-                records.append(Mismatch(
-                    params, f"ndr-monotone[r={r},m={m}]", value, prev))
+            if dp[big_m - a] - dp[big_m] > rise:
+                records.append(Mismatch(params, f"ndr-monotone[r={r},m={m}]",
+                                        value(big_m), value(big_m - a)))
                 break
-            prev = value
     return records
 
 
@@ -180,12 +201,15 @@ def run_single(p: FamilyParams, *, check_pf: bool = False,
     return records
 
 
-def _run_case(grid: GridSpec, case) -> list[Mismatch]:
+def _run_case(grid: GridSpec, top: int, case) -> list[Mismatch]:
+    # top is the last DP cell that the grid's largest runnable a reads
     (a, b, d, k), inject = case
-    return run_single(FamilyParams(a=a, b=b, d=d, k=k),
-                      check_pf=grid.check_pf,
-                      check_monotone=grid.check_monotone,
-                      inject_mismatch=inject)
+    p = FamilyParams(a=a, b=b, d=d, k=k)
+    records = run_single(p, check_pf=grid.check_pf, inject_mismatch=inject)
+    if grid.check_monotone:
+        records.extend(_monotone_records(p, _param_items(p),
+                                         _block_counts(b, k, top)))
+    return records
 
 
 def _coprime_upto(n: int, d: int) -> int:
@@ -213,7 +237,11 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     read once per sweep): the a residue classes of each Apery set, and with
     check_monotone the 6a DP cells of the candidate check.  The points above
     that are counted per d, not visited, so a huge a_range costs no more
-    than its runnable part.  The oracle accepts every other point, a < k-1
+    than its runnable part.  The cases of one (b, k) block are contiguous
+    and read their DP cells from one shared table of 6*a_top cells, a_top
+    being the largest a that runs; at most one table is held at a time,
+    each worker process builds its own, and none is held once the sweep
+    returns or raises.  The oracle accepts every other point, a < k-1
     included, as an ordinary case.  The report is deterministic for a fixed
     grid regardless of jobs (elapsed time aside); inject_mismatch corrupts
     the first case's Frobenius value to exercise the failure path end to
@@ -261,29 +289,33 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     # start-up has passed; two workers save half the rest, which pays for
     # a start-up only when the rest takes two
     workers = min(jobs, os.cpu_count() or 1)
-    run_case = partial(_run_case, grid)
-    results = []
-    for done, case in enumerate(cases):
+    run_case = partial(_run_case, grid, tables * min(a_hi, limit) - 1)
+    try:
+        results = []
+        for done, case in enumerate(cases):
+            if workers > 1:
+                elapsed = time.perf_counter() - started
+                rest_s = elapsed / max(done, 1) * (len(cases) - done)
+                if elapsed >= _POOL_START_S / 4 \
+                        and rest_s >= 2 * _POOL_START_S:
+                    break
+            results.append(run_case(case))
+        rest = cases[len(results):]
+        workers = min(workers, len(rest))
         if workers > 1:
-            elapsed = time.perf_counter() - started
-            rest_s = elapsed / max(done, 1) * (len(cases) - done)
-            if elapsed >= _POOL_START_S / 4 and rest_s >= 2 * _POOL_START_S:
-                break
-        results.append(run_case(case))
-    rest = cases[len(results):]
-    workers = min(workers, len(rest))
-    if workers > 1:
-        # imported here: the pool machinery costs start-up time and memory
-        # that every other use of the package would pay for nothing
-        from concurrent.futures import ProcessPoolExecutor
-        # four chunks per worker even out a few costly cases; at most 64
-        # cases per chunk, as later cases of a grid cost more and the last
-        # chunk must not leave the other workers idle for long
-        chunksize = min(64, -(-len(rest) // (4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results.extend(pool.map(run_case, rest, chunksize=chunksize))
-    else:
-        results.extend(map(run_case, rest))
+            # imported here: the pool machinery costs start-up time and memory
+            # that every other use of the package would pay for nothing
+            from concurrent.futures import ProcessPoolExecutor
+            # four chunks per worker even out a few costly cases; at most 64
+            # cases per chunk, as later cases of a grid cost more and the last
+            # chunk must not leave the other workers idle for long
+            chunksize = min(64, -(-len(rest) // (4 * workers)))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results.extend(pool.map(run_case, rest, chunksize=chunksize))
+        else:
+            results.extend(map(run_case, rest))
+    finally:
+        _block_counts.cache_clear()
 
     mismatches = sorted((m for records in results for m in records),
                         key=lambda m: (m.params, m.quantity))

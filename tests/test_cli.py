@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from apery import cli, core, frobenius_closed, genus_closed, \
-    repunit_general_frobenius, thabit
+    report_closed, repunit_general_frobenius, repunit_params, thabit
 from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
@@ -528,6 +528,20 @@ class TestRecordRoundTrip:
         encoded = [raw["frobenius"], raw["genus"], *raw["pf"]]
         for v, enc in zip([max(pf), genus, *pf], encoded):
             assert enc == (v if -(2**63) <= v < 2**63 else str(v))
+
+    def test_round_trip_past_4300_digits(self, digit_limit):
+        # outside main too, both lift Python's int/str digit limit while
+        # they run and then put it back
+        p = repunit_params(10**1500, 2)
+        record = OutputRecord(input={"a": p.a, "b": p.b, "d": p.d, "k": p.k},
+                              apery=(0, p.a + 1), **vars(report_closed(p)))
+        text = serialize_record(record)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == digit_limit
+        assert len(json.loads(text)["frobenius"]) > 4300
+        assert parse_record(text) == record
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == digit_limit
 
     def test_cli_output_parses_back(self, capsys):
         _, out, _ = run_cli(capsys, "report", "--a", "5", "--b", "2",

@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from math import gcd
@@ -232,8 +233,11 @@ class TestCrossCheck:
     def test_workers_do_not_change_the_report(self, monkeypatch):
         # with a free pool start-up every case goes to real worker processes
         monkeypatch.setattr(verify, "_POOL_START_S", 0)
-        grid = GridSpec(a_range=(2, 12), check_pf=True)
-        for inject in (False, True):
+        # the monotone check's workers build their own (b, k) block tables
+        for grid, inject in itertools.product(
+                (GridSpec(a_range=(2, 12), check_pf=True),
+                 GridSpec(a_range=(2, 14), check_monotone=True)),
+                (False, True)):
             serial = cross_check(grid, jobs=1, inject_mismatch=inject)
             parallel = cross_check(grid, jobs=2, inject_mismatch=inject)
             assert serial.cases_run == parallel.cases_run
@@ -304,6 +308,104 @@ class TestCrossCheck:
         round_tripped = json.loads(payload)
         assert round_tripped["cases_run"] == report.cases_run
         assert round_tripped["mismatches"] == []
+
+
+def _naive_monotone(p, dp):
+    # the per-class loop over m = 0..5: the first drop of each class
+    a, b, d = p.a, p.b, p.d
+    records = []
+    for r in range(a):
+        prev = None
+        for m in range(6):
+            big_m = m * a + r
+            value = ((b - 1) * big_m + dp[big_m]) * a + big_m * d
+            if prev is not None and value < prev:
+                records.append((f"ndr-monotone[r={r},m={m}]", value, prev))
+                break
+            prev = value
+    return records
+
+
+class TestMonotoneCheck:
+    def test_records_match_a_per_class_loop(self):
+        rng = random.Random(12)
+        with_drops = 0
+        for _ in range(200):
+            a, b, d, k = (rng.randint(2, 30), rng.randint(2, 4),
+                          rng.randint(1, 4), rng.randint(1, 4))
+            if gcd(a, d) != 1:
+                continue
+            p = FamilyParams(a=a, b=b, d=d, k=k)
+            # a longer table than the check needs, as a sweep's block has,
+            # with a few cells raised so that value(M+a) < value(M) can follow
+            dp = verify._repunit_counts(b, k, 6 * a + 20)
+            for _ in range(rng.randint(1, 5)):
+                dp[rng.randrange(6 * a)] += rng.randint(1, 6 * a)
+            expected = _naive_monotone(p, dp)
+            got = verify._monotone_records(p, (("a", a),), dp)
+            assert [(m.quantity, m.closed_value, m.oracle_value)
+                    for m in got] == expected
+            assert all(m.params == (("a", a),) for m in got)
+            with_drops += bool(expected)
+        assert with_drops > 50
+
+    def test_sweep_reports_a_drop(self, monkeypatch):
+        real = verify._opt_counts_upto
+
+        def dipped(coins, top):
+            dp = real(coins, top)
+            dp[3] += 20  # value(3 + a) < value(3) for every a of the grid
+            return dp
+
+        monkeypatch.setattr(verify, "_opt_counts_upto", dipped)
+        grid = GridSpec(a_range=(2, 4), b_range=(2, 2), d_range=(1, 1),
+                        k_range=(1, 2), check_monotone=True)
+        report = cross_check(grid)
+        assert (report.cases_run, report.cases_passed) == (6, 0)
+        # the drop is at M = 3: class r = 3 mod a, from m = 3 // a to the next
+        # (at k = 1 and k = 2 alike)
+        assert [(dict(m.params)["a"], m.quantity)
+                for m in report.mismatches] == [
+            (2, "ndr-monotone[r=1,m=2]"), (2, "ndr-monotone[r=1,m=2]"),
+            (3, "ndr-monotone[r=0,m=2]"), (3, "ndr-monotone[r=0,m=2]"),
+            (4, "ndr-monotone[r=3,m=1]"), (4, "ndr-monotone[r=3,m=1]")]
+        again = run_single(FamilyParams(a=3, b=2, d=1, k=1),
+                           check_monotone=True)
+        assert again == [m for m in report.mismatches
+                         if m.params == (("a", 3), ("b", 2), ("d", 1),
+                                         ("k", 1))]
+
+    def test_one_table_per_b_k_block(self, monkeypatch):
+        tops = []
+        real = verify._opt_counts_upto
+        monkeypatch.setattr(verify, "_opt_counts_upto",
+                            lambda coins, top: tops.append(top)
+                            or real(coins, top))
+        grid = GridSpec(a_range=(2, 12), b_range=(2, 3), d_range=(1, 3),
+                        k_range=(1, 2), check_monotone=True)
+        report = cross_check(grid)
+        assert report.ok and report.cases_run == 2 * 2 * 23
+        # each block's table has 6 * 12 cells, for its largest a
+        assert tops == [71] * 4
+
+    def test_no_table_outlives_the_sweep(self, monkeypatch):
+        grid = GridSpec(a_range=(2, 12), check_monotone=True)
+        assert cross_check(grid).ok
+        assert verify._block_counts.cache_info().currsize == 0
+        # nor one that fails part way
+        calls = []
+        real = verify.run_single
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ConsistencyError("stop")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_single", failing)
+        with pytest.raises(ConsistencyError):
+            cross_check(grid)
+        assert verify._block_counts.cache_info().currsize == 0
 
 
 class TestVerifyReportInvariant:
