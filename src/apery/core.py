@@ -56,18 +56,26 @@ def check_cap(count: int, what: str) -> None:
             f"set {ORACLE_CAP_ENV} to raise it")
 
 
+def check_int(value, what: str) -> int:
+    """Return value if it is an int and not a bool; never convert, as
+    int(7.9) would quietly answer for 7."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorList:
     """Canonicalized system of semigroup generators (sorted, deduplicated, gcd 1).
 
-    Accepts any iterable of positive integers; 1 is allowed and yields the
-    full semigroup N (Frobenius number -1 by convention).
+    Accepts any iterable of positive ints, bools excluded; 1 is allowed and
+    yields the full semigroup N (Frobenius number -1 by convention).
     """
 
     elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
-        elems = tuple(sorted(set(int(e) for e in elements)))
+        elems = tuple(sorted({check_int(e, "generator") for e in elements}))
         if not elems:
             raise InvalidParamsError("generator list is empty")
         if elems[0] < 1:

@@ -17,8 +17,8 @@ from math import gcd
 from operator import sub
 from random import Random
 
-from .changemaking import _opt_counts_upto, colex_compare, greedy_count, \
-    greedy_presentation, is_orderly, repunit_coins, weight
+from .changemaking import _opt_counts_upto, _repunits, colex_compare, \
+    greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import FamilyParams, evaluate
 from .core import residue_cap
 from .errors import ConsistencyError, InvalidParamsError
@@ -130,11 +130,7 @@ def _repunit_counts(b: int, k: int, top: int) -> list[int]:
     # min-coin counts over the repunits R_1..R_k for the amounts 0..top,
     # through an independent DP, not the greedy shortcut; a cell does not
     # depend on top, so a longer table serves every shorter need
-    coins, c = [], 1
-    while c <= top and len(coins) < k:
-        coins.append(c)
-        c = b * c + 1
-    return _opt_counts_upto(coins, top)
+    return _opt_counts_upto(_repunits(b, k, below=top + 1), top)
 
 
 # the table of the current (b, k) block of a cross_check sweep, sized for
@@ -176,12 +172,13 @@ def run_single(p: FamilyParams, *, check_pf: bool = False,
                inject_mismatch: bool = False) -> list[Mismatch]:
     """Compare F, g, the Apery set and the requested extras for one point.
 
+    Both engines come from evaluate(p, ...), as in the library and the CLI.
     Returns the list of disagreement records (empty on full agreement); used
     by cross_check workers and for isolated re-runs of reported mismatches.
     """
     params = _param_items(p)
     closed = evaluate(p, "closed")
-    oracle = evaluate(closed.generators, "oracle")
+    oracle = evaluate(p, "oracle")
     # (quantity, closed value, oracle value); unequal pairs are mismatches
     compared = [("frobenius", closed.frobenius, oracle.frobenius),
                 ("genus", closed.genus, oracle.genus)]

@@ -1,5 +1,7 @@
 """Change-making tests: DP vs greedy, orderliness certification, greedy
 presentations and the colex order machinery."""
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,15 @@ class TestCoinSystem:
     def test_requires_unit(self):
         with pytest.raises(InvalidParamsError):
             CoinSystem([2, 5])
+
+    @pytest.mark.parametrize("coins, bad", [
+        ([1, 3.5], "3.5"), ([1.0, 3], "1.0"), ([True, 3], "True"),
+    ])
+    def test_refuses_non_integers(self, coins, bad):
+        with pytest.raises(InvalidParamsError, match=bad):
+            CoinSystem(coins)
+        with pytest.raises(InvalidParamsError, match=bad):
+            greedy_count(coins, 7)
 
     def test_repunit_coins(self):
         assert repunit_coins(2, 4).denominations == (1, 3, 7, 15)
@@ -151,6 +162,14 @@ class TestGreedyPresentation:
 
     def test_zero(self):
         assert greedy_presentation(3, 2, 0).digits == (0, 0)
+
+    def test_long_presentation_of_a_small_amount(self):
+        # only the repunits up to M are divided by, whatever k is
+        coins = repunit_coins(2, 20)
+        started = time.perf_counter()
+        for m in (0, 1, 5, 12, 100, 1000):
+            assert digit_sum(2, 10**5, m) == greedy_count(coins, m)
+        assert time.perf_counter() - started < 5.0
 
     def test_value_round_trip(self):
         for b, k in [(2, 3), (3, 4), (5, 2), (4, 1)]:

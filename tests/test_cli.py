@@ -568,6 +568,17 @@ class TestConsoleEntryPoint:
         assert result.returncode == EXIT_OK
         assert result.stdout == "29\n"
 
+    def test_oracle_report_at_huge_k(self):
+        # the oracle reads the family terms only up to Sylvester's bound
+        result = subprocess.run(
+            [sys.executable, "-m", "apery.cli", "report", "--a", "7",
+             "--b", "2", "--d", "1", "--k", "1000000", "--engine", "oracle"],
+            capture_output=True, text=True, env=_env_with_package(),
+            timeout=60)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.splitlines()[:4] == [
+            "frobenius: 55", "genus: 32", "type: 2", "pf: 54,55"]
+
     def test_import_does_not_load_process_pool(self):
         # the pool machinery is imported only when cross_check starts a pool
         result = subprocess.run(

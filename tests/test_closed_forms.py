@@ -51,6 +51,14 @@ class TestFamilyParams:
         with pytest.raises(InvalidParamsError):
             FamilyParams(a=6, b=2, d=3, k=1)  # gcd(a, d) = 3
 
+    @pytest.mark.parametrize("a, b, d, k, bad", [
+        (7.0, 2, 1, 2, "7.0"), (7, 2.5, 1, 2, "2.5"), (7, 2, True, 2, "True"),
+        (7, 2, 1, "2", "'2'"), (7, 2, 1, False, "False"),
+    ])
+    def test_refuses_non_integers(self, a, b, d, k, bad):
+        with pytest.raises(InvalidParamsError, match=bad):
+            FamilyParams(a=a, b=b, d=d, k=k)
+
     def test_closed_forms_hold_for_a_below_k_minus_1(self):
         # the paper states its formulas for a >= k-1; they hold for every a
         for a, b, d, k in [(2, 2, 1, 4), (2, 3, 5, 6), (3, 2, 2, 6),
@@ -84,6 +92,33 @@ class TestEvaluate:
     def test_closed_engine_needs_family_params(self):
         with pytest.raises(InvalidParamsError):
             evaluate(GeneratorList([7, 23, 71]), "closed")
+
+    def test_oracle_stops_at_sylvester_bound(self):
+        # the terms above (a-1)*g_1 are never minimal generators, so the
+        # bounded oracle agrees with the oracle on the full list
+        points = 0
+        for a in range(2, 41):
+            for b in range(2, 5):
+                for d in range(1, 5):
+                    if gcd(a, d) != 1:
+                        continue
+                    for k in (1, 2, 3, 5, 9, 25):
+                        p = FamilyParams(a, b, d, k)
+                        full = apery_set(build_generators(p))
+                        bounded = evaluate(p, "oracle")
+                        assert bounded.apery.minima == full.minima, p
+                        assert list(bounded.pf) == \
+                            pseudo_frobenius_from_apery(full), p
+                        points += 1
+        assert points == 1854
+
+    def test_oracle_at_huge_k_answers_at_once(self):
+        started = time.perf_counter()
+        ev = evaluate(FamilyParams(7, 2, 1, 10**6), "oracle")
+        assert (ev.frobenius, ev.genus, ev.pf) == (55, 32, (54, 55))
+        # a = 7, g_1 = 15: the terms 7, 15, 31, 63 lie within 6 * 15
+        assert ev.source.elements == (7, 15, 31, 63)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestBuildGenerators:

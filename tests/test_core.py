@@ -48,6 +48,17 @@ class TestGeneratorList:
         with pytest.raises(InvalidParamsError):
             GeneratorList([])
 
+    @pytest.mark.parametrize("gens, bad", [
+        ([5, 7.9], "7.9"), ([5.0, 7], "5.0"), ([True, 3], "True"),
+        ([5, "7"], "'7'"),
+    ])
+    def test_rejects_non_integers(self, gens, bad):
+        with pytest.raises(InvalidParamsError, match=bad):
+            GeneratorList(gens)
+        # int() would have answered F = 23 for <5, 7>
+        with pytest.raises(InvalidParamsError, match=bad):
+            semigroup_report(gens)
+
     def test_allows_unit_generator(self):
         assert GeneratorList([1]).elements == (1,)
         assert GeneratorList([1, 4]).elements == (1, 4)

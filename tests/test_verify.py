@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -160,14 +161,21 @@ class TestCrossCheck:
         assert (monotone.cases_run, monotone.cases_passed) == (9, 9)
         assert monotone.skipped == (("oracle-infeasible", 10),)
 
-    def test_run_single_builds_the_generators_once(self, monkeypatch):
-        calls = []
-        real = closed_forms.build_generators
-        monkeypatch.setattr(closed_forms, "build_generators",
-                            lambda p: calls.append(p) or real(p))
+    def test_run_single_reaches_the_oracle_through_evaluate(self,
+                                                            monkeypatch):
+        # the oracle reads the family terms itself, as in the library and
+        # the CLI, and never the full generator list
+        def refuse(p):
+            raise AssertionError("run_single built the generator list")
+        monkeypatch.setattr(closed_forms, "build_generators", refuse)
         assert run_single(FamilyParams(a=41, b=3, d=3, k=3),
                           check_pf=True) == []
-        assert len(calls) == 1
+
+    def test_run_single_at_huge_k(self):
+        started = time.perf_counter()
+        assert run_single(FamilyParams(a=7, b=2, d=1, k=10**5),
+                          check_pf=True) == []
+        assert time.perf_counter() - started < 1.0
 
     def test_a_below_k_minus_1_is_an_ordinary_case(self):
         one = cross_check(GridSpec(a_range=(2, 2), b_range=(2, 2),
