@@ -25,7 +25,7 @@ class CoinSystem:
     denominations: tuple[int, ...]
 
     def __init__(self, denominations: Iterable[int]):
-        denoms = tuple(sorted({check_int(c, "coin") for c in denominations}))
+        denoms = tuple(sorted({check_int(c, "coin", 1) for c in denominations}))
         if not denoms or denoms[0] != 1:
             raise InvalidParamsError("coin system must contain the unit coin 1")
         object.__setattr__(self, "denominations", denoms)
@@ -58,16 +58,9 @@ def _repunits(b: int, k: int, below: int | None = None) -> list[int]:
 
 def repunit_coins(b: int, k: int) -> CoinSystem:
     """The sequence (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)) as a coin system."""
-    if b < 2:
-        raise InvalidParamsError(f"base must be >= 2, got {b}")
-    if k < 1:
-        raise InvalidParamsError(f"length must be >= 1, got {k}")
+    check_int(b, "base", 2)
+    check_int(k, "length", 1)
     return CoinSystem(_repunits(b, k))
-
-
-def _check_amount(M: int) -> None:
-    if M < 0:
-        raise InvalidParamsError(f"amount must be >= 0, got {M}")
 
 
 def opt_count(coins, M: int) -> int:
@@ -78,7 +71,7 @@ def opt_count(coins, M: int) -> int:
     rather than exhausting memory.
     """
     coins = _as_coins(coins)
-    _check_amount(M)
+    check_int(M, "amount", 0)
     check_cap(M + 1, "DP cells")
     return _opt_counts_upto(coins.denominations, M)[M]
 
@@ -100,7 +93,7 @@ def _opt_counts_upto(denoms: Sequence[int], limit: int) -> list[int]:
 def greedy_count(coins, M: int) -> int:
     """Number of coins the largest-first greedy strategy uses for M."""
     coins = _as_coins(coins)
-    _check_amount(M)
+    check_int(M, "amount", 0)
     return _greedy_prefix(coins.denominations[:0:-1], M)
 
 
@@ -160,10 +153,17 @@ def is_orderly(coins) -> Orderliness:
 class GreedyPresentation:
     """Digit vector of the greedy representation of an amount over repunit coins.
 
-    Digits are little-endian: digits[i-1] multiplies (b^i - 1)/(b - 1).  The
-    top digit is unbounded; every lower digit is at most b, and a digit equal
-    to b above the lowest position forces all lower digits to zero.
+    Digits are little-endian: digits[i-1] multiplies R_i = (b^i - 1)/(b - 1).
+    The top digit is unbounded; every lower digit is at most b, and a digit
+    equal to b above the lowest position forces all lower digits to zero.
     Constructing a vector that violates these constraints raises.
+
+    These rules already make the top digit the greedy quotient
+    value() // R_k, so no rule checks it.  By induction on j, the digits
+    below position j stand for at most R_j - 1: a digit x_j <= b - 1 adds
+    at most (b-1)*R_j, giving at most b*R_j - 1 = R_(j+1) - 2, and a digit
+    b adds b*R_j = R_(j+1) - 1 with nothing below it (at j = 1 there is
+    nothing below anyway).
     """
 
     b: int
@@ -171,24 +171,18 @@ class GreedyPresentation:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(x) for x in self.digits))
-        b, k, digits = self.b, self.k, self.digits
-        if b < 2 or k < 1:
-            raise InvalidParamsError(f"need base >= 2 and length >= 1, got b={b} k={k}")
+        b = check_int(self.b, "base", 2)
+        k = check_int(self.k, "length", 1)
+        digits = tuple(check_int(x, "digit", 0) for x in self.digits)
+        object.__setattr__(self, "digits", digits)
         if len(digits) != k:
             raise InvalidParamsError(f"expected {k} digits, got {len(digits)}")
-        if any(x < 0 for x in digits):
-            raise InvalidParamsError("digits must be non-negative")
         if any(x > b for x in digits[:-1]):
             raise InvalidParamsError(f"non-top digits must be <= {b}: {digits}")
         for i in range(1, k - 1):  # positions 2..k-1, 1-based
             if digits[i] == b and any(digits[:i]):
                 raise InvalidParamsError(
                     f"digit b at position {i + 1} forces lower digits to zero: {digits}")
-        m = self.value()
-        if digits[-1] != (b - 1) * m // (b**k - 1):
-            raise InvalidParamsError(
-                f"top digit {digits[-1]} is not the greedy quotient for amount {m}")
 
     def value(self) -> int:
         """The represented amount."""
@@ -204,11 +198,9 @@ def greedy_presentation(b: int, k: int, M: int) -> GreedyPresentation:
     orderly.  repunit_value, not the closed forms' _repunits, keeps
     digit_sum an independent check of the closed F.
     """
-    if b < 2:
-        raise InvalidParamsError(f"base must be >= 2, got {b}")
-    if k < 1:
-        raise InvalidParamsError(f"length must be >= 1, got {k}")
-    _check_amount(M)
+    check_int(b, "base", 2)
+    check_int(k, "length", 1)
+    check_int(M, "amount", 0)
     top = 1
     while top < k and repunit_value(b, top + 1) <= M:
         top += 1
@@ -226,7 +218,7 @@ def digit_sum(b: int, k: int, M: int) -> int:
 def weight(presentation: GreedyPresentation) -> int:
     """Weight of a presentation: sum of b^i * digit_i over positions i."""
     return sum(x * presentation.b**i
-               for i, x in enumerate(presentation.digits, start=1))
+               for i, x in enumerate(presentation.digits, start=1) if x)
 
 
 def colex_compare(x: Sequence[int], y: Sequence[int]) -> int:

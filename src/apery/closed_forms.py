@@ -56,16 +56,8 @@ class FamilyParams:
     k: int
 
     def __post_init__(self):
-        for name in ("a", "b", "d", "k"):
-            check_int(getattr(self, name), name)
-        if self.a < 2:
-            raise InvalidParamsError(f"need a >= 2, got {self.a}")
-        if self.b < 2:
-            raise InvalidParamsError(f"need b >= 2, got {self.b}")
-        if self.d < 1:
-            raise InvalidParamsError(f"need d >= 1, got {self.d}")
-        if self.k < 1:
-            raise InvalidParamsError(f"need k >= 1, got {self.k}")
+        for name, low in (("a", 2), ("b", 2), ("d", 1), ("k", 1)):
+            check_int(getattr(self, name), name, low)
         if gcd(self.a, self.d) != 1:
             raise InvalidParamsError(
                 f"gcd(a, d) = gcd({self.a}, {self.d}) != 1")
@@ -211,7 +203,7 @@ def _class_minima(p: FamilyParams, above, indices) -> list[int]:
 
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
-    if not 0 <= r < p.a:
+    if not 0 <= check_int(r, "residue index") < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
     return _class_minima(p, ClosedEvaluation(p).above_unit, (r,))[0]
 
@@ -252,34 +244,25 @@ def repunit_specialization(p: FamilyParams) -> int | None:
     return ClosedEvaluation(p).repunit_n
 
 
-def _check_repunit_args(b: int, n: int, d: int) -> int:
-    if b < 2:
-        raise InvalidParamsError(f"need b >= 2, got {b}")
-    if n < 2:
-        raise InvalidParamsError(f"need n >= 2, got {n}")
-    if d < 1:
-        raise InvalidParamsError(f"need d >= 1, got {d}")
-    a = repunit_value(b, n)
-    if gcd(a, d) != 1:
-        raise InvalidParamsError(
-            f"gcd((b^n-1)/(b-1), d) = gcd({a}, {d}) != 1")
-    return a
-
-
 def repunit_params(b: int, n: int, d: int = 1) -> FamilyParams:
-    """Family parameters of the repunit specialization a=(b^n-1)/(b-1), k=n-1."""
-    return FamilyParams(a=_check_repunit_args(b, n, d), b=b, d=d, k=n - 1)
+    """Family parameters of the repunit specialization a=(b^n-1)/(b-1), k=n-1.
+
+    Checks b and n before reading them; FamilyParams checks d and gcd(a, d).
+    """
+    check_int(b, "b", 2)
+    check_int(n, "n", 2)
+    return FamilyParams(a=repunit_value(b, n), b=b, d=d, k=n - 1)
 
 
 def repunit_general_frobenius(b: int, n: int, d: int = 1) -> int:
     """Frobenius number (b^n + d - 1) * (b^n - 1)/(b - 1) - d."""
-    a = _check_repunit_args(b, n, d)
+    a = repunit_params(b, n, d).a
     return (b**n + d - 1) * a - d
 
 
 def repunit_general_genus(b: int, n: int, d: int = 1) -> int:
     """Genus (b^n - b)(b^n + d - 1)/(2(b-1)) + b^n (n-1)/2, exactly."""
-    _check_repunit_args(b, n, d)
+    repunit_params(b, n, d)
     # (b^n - b)/(b - 1) = b * repunit(b, n-1); halve the combined sum exactly
     return _exact_half(b * repunit_value(b, n - 1) * (b**n + d - 1)
                        + b**n * (n - 1))

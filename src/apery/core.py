@@ -56,11 +56,13 @@ def check_cap(count: int, what: str) -> None:
             f"set {ORACLE_CAP_ENV} to raise it")
 
 
-def check_int(value, what: str) -> int:
-    """Return value if it is an int and not a bool; never convert, as
-    int(7.9) would quietly answer for 7."""
+def check_int(value, what: str, low: int | None = None) -> int:
+    """Return value if it is an int, not a bool, and at least low when low
+    is given; never convert, as int(7.9) would quietly answer for 7."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParamsError(f"need {what} >= {low}, got {value}")
     return value
 
 
@@ -75,11 +77,9 @@ class GeneratorList:
     elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
-        elems = tuple(sorted({check_int(e, "generator") for e in elements}))
+        elems = tuple(sorted({check_int(e, "generator", 1) for e in elements}))
         if not elems:
             raise InvalidParamsError("generator list is empty")
-        if elems[0] < 1:
-            raise InvalidParamsError(f"generators must be positive, got {elems[0]}")
         g = 0
         for e in elems:
             g = gcd(g, e)
@@ -251,7 +251,7 @@ def frobenius_from_apery(ape: AperySet) -> int:
 def genus_from_apery(ape: AperySet) -> int:
     """Number of gaps: (sum of nonzero-class minima)/a - (a-1)/2, exactly."""
     a = ape.modulus
-    total = sum(ape.minima[1:])
+    total = sum(ape.minima)  # minima[0] is 0
     # g = total/a - (a-1)/2 as one exact division by 2a
     num = 2 * total - a * (a - 1)
     q, rem = divmod(num, 2 * a)
@@ -265,7 +265,7 @@ def genus_from_apery(ape: AperySet) -> int:
 
 def contains(ape: AperySet, n: int) -> bool:
     """Membership test: n is in the semigroup iff n >= 0 and n >= minima[n mod a]."""
-    if n < 0:
+    if check_int(n, "n") < 0:
         return False
     return n >= ape.minima[n % ape.modulus]
 

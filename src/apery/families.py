@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .closed_forms import FamilyParams, repunit_value
+from .core import check_int
 from .errors import InvalidParamsError
 
 
@@ -146,10 +147,8 @@ _ENTRIES: dict[str, dict] = {entry["name"]: entry for entry in _CATALOG}
 def _check_bounds(family: str, **values: int) -> None:
     # lower bounds live only in the catalog; gu-ze-tang's m <= 2^n stays put
     for param in _ENTRIES[family]["params"]:
-        name, low = param["name"], param["min"]
-        if values[name] < low:
-            raise InvalidParamsError(
-                f"{family} needs {name} >= {low}, got {name}={values[name]}")
+        name = param["name"]
+        check_int(values[name], f"{family} {name}", param["min"])
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from random import Random
 from .changemaking import _opt_counts_upto, _repunits, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import FamilyParams, evaluate
-from .core import residue_cap
-from .errors import ConsistencyError, InvalidParamsError
+from .core import check_int, residue_cap
+from .errors import ConsistencyError
 
 # The monotonicity check compares each class's candidates at m = 0..5.
 _MONOTONE_M_LIMIT = 5
@@ -51,11 +51,8 @@ class GridSpec:
                                       ("b", self.b_range, 2),
                                       ("d", self.d_range, 1),
                                       ("k", self.k_range, 1)):
-            if lo < floor:
-                raise InvalidParamsError(
-                    f"{name} range starts at {lo}, minimum is {floor}")
-            if hi < lo:
-                raise InvalidParamsError(f"empty {name} range ({lo}, {hi})")
+            check_int(lo, f"{name} range start", floor)
+            check_int(hi, f"{name} range end", lo)
 
 
 @dataclass(frozen=True)
@@ -252,8 +249,7 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     that is 1).  So a sweep a pool cannot speed up starts none, and no
     request starts more processes than the machine has cores.
     """
-    if jobs < 1:
-        raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
+    check_int(jobs, "jobs", 1)
     started = time.perf_counter()
     tables = _MONOTONE_M_LIMIT + 1 if grid.check_monotone else 1
     limit = residue_cap() // tables
@@ -371,9 +367,7 @@ def _check_monotone_sampled(rng: Random,
         b = rng.randint(2, 5)
         d = rng.randint(1, 5)
         k = rng.randint(1, 4)
-        # a >= k - 1 keeps the seeded draws that pinned tests and benchmark
-        # requests replay; the closed forms need no such condition
-        if gcd(a, d) == 1 and a >= k - 1:
+        if gcd(a, d) == 1:
             break
     p = FamilyParams(a=a, b=b, d=d, k=k)
     return _monotone_records(p, params + _param_items(p))
@@ -390,8 +384,7 @@ def property_suite(seed: int = 0, budget: int = 100) -> VerifyReport:
     candidate monotonicity.  Any violation points at an implementation bug,
     since all three are proved facts.
     """
-    if budget < 1:
-        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+    check_int(budget, "budget", 1)
     started = time.perf_counter()
     rng = Random(seed)
     mismatches: list[Mismatch] = []

@@ -1,0 +1,131 @@
+"""Every integer argument of the public API goes through core.check_int: a
+non-int or a bool, or an int below the argument's lower bound, raises
+InvalidParamsError naming the value; nothing converts or answers for it."""
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from apery import (
+    CoinSystem,
+    FamilyParams,
+    GeneratorList,
+    GreedyPresentation,
+    GridSpec,
+    InvalidParamsError,
+    OracleInfeasibleError,
+    apery_set,
+    contains,
+    cross_check,
+    digit_sum,
+    greedy_count,
+    greedy_presentation,
+    gu_ze,
+    gu_ze_tang,
+    liu_xin,
+    mersenne,
+    opt_count,
+    property_suite,
+    pseudo_frobenius_closed,
+    repunit,
+    repunit_coins,
+    repunit_general_frobenius,
+    repunit_general_genus,
+    repunit_params,
+    residue_minimum,
+    song_gt,
+    thabit,
+    thabit_base_b,
+)
+
+P = FamilyParams(7, 2, 1, 2)
+APE = apery_set([3, 5])
+
+# (label, call taking the argument under test, an int below its bound or
+# None where the call has no lower bound that raises)
+ENTRY_POINTS = [
+    ("contains n", lambda x: contains(APE, x), None),
+    ("opt_count amount", lambda x: opt_count([1, 3, 4], x), -1),
+    ("greedy_count amount", lambda x: greedy_count([1, 3, 4], x), -1),
+    ("greedy_presentation base", lambda x: greedy_presentation(x, 3, 7), 1),
+    ("greedy_presentation length", lambda x: greedy_presentation(2, x, 7), 0),
+    ("greedy_presentation amount", lambda x: greedy_presentation(2, 3, x), -1),
+    ("digit_sum amount", lambda x: digit_sum(2, 3, x), -1),
+    ("repunit_coins base", lambda x: repunit_coins(x, 3), 1),
+    ("repunit_coins length", lambda x: repunit_coins(2, x), 0),
+    ("GreedyPresentation base", lambda x: GreedyPresentation(x, 2, (1, 0)), 1),
+    ("GreedyPresentation length", lambda x: GreedyPresentation(2, x, (1,)), 0),
+    ("GreedyPresentation digit",
+     lambda x: GreedyPresentation(2, 2, (x, 0)), -1),
+    ("residue_minimum r", lambda x: residue_minimum(P, x), None),
+    ("repunit_params b", lambda x: repunit_params(x, 3), 1),
+    ("repunit_params n", lambda x: repunit_params(2, x), 1),
+    ("repunit_params d", lambda x: repunit_params(2, 3, x), 0),
+    ("repunit_general_frobenius n",
+     lambda x: repunit_general_frobenius(2, x), 1),
+    ("repunit_general_genus b", lambda x: repunit_general_genus(x, 3), 1),
+    ("pseudo_frobenius_closed n", lambda x: pseudo_frobenius_closed(2, x), 1),
+    ("mersenne n", mersenne, 1),
+    ("thabit n", thabit, 0),
+    ("gu_ze_tang n", lambda x: gu_ze_tang(x, 2), 0),
+    ("gu_ze_tang m", lambda x: gu_ze_tang(2, x), 1),
+    ("song_gt n", lambda x: song_gt(x, 2), -1),
+    ("liu_xin d", lambda x: liu_xin(1, 3, x), 0),
+    ("repunit b", lambda x: repunit(x, 3), 1),
+    ("gu_ze n", lambda x: gu_ze(2, x), -1),
+    ("thabit_base_b b", lambda x: thabit_base_b(x, 1), 1),
+    ("GridSpec range start", lambda x: GridSpec(a_range=(x, 60)), 1),
+    ("GridSpec range end", lambda x: GridSpec(d_range=(3, x)), 2),
+    ("cross_check jobs", lambda x: cross_check(jobs=x), 0),
+    ("property_suite budget", lambda x: property_suite(budget=x), 0),
+]
+
+
+@pytest.mark.parametrize("bad", [7.5, True, "7"])
+@pytest.mark.parametrize("call", [c for _, c, _ in ENTRY_POINTS],
+                         ids=[label for label, _, _ in ENTRY_POINTS])
+def test_non_integers_refused(call, bad):
+    with pytest.raises(InvalidParamsError, match=re.escape(repr(bad))):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, low", [(c, low) for _, c, low in ENTRY_POINTS if low is not None],
+    ids=[label for label, _, low in ENTRY_POINTS if low is not None])
+def test_values_below_bound_refused(call, low):
+    with pytest.raises(InvalidParamsError, match=rf"got {low}\b"):
+        call(low)
+
+
+def test_bound_message():
+    with pytest.raises(InvalidParamsError,
+                       match=re.escape("need thabit n >= 1, got 0")):
+        thabit(0)
+    with pytest.raises(InvalidParamsError,
+                       match=re.escape("need base >= 2, got 1")):
+        repunit_coins(1, 3)
+
+
+values = st.one_of(st.integers(-3, 40), st.integers(), st.floats(),
+                   st.booleans(), st.text(max_size=3))
+
+
+@given(st.lists(values, max_size=4), values, st.lists(values, min_size=4,
+                                                      max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params):
+    # a small cap turns every large DP table into OracleInfeasibleError
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SEMIGROUP_ORACLE_CAP", "1000")
+        calls = [lambda: GeneratorList(elements).elements,
+                 lambda: CoinSystem(elements).denominations,
+                 lambda: FamilyParams(*params).a,
+                 lambda: greedy_count([1, *elements], amount),
+                 lambda: opt_count([1, *elements], amount)]
+        for call in calls:
+            try:
+                result = call()
+            except (InvalidParamsError, OracleInfeasibleError):
+                continue
+            flat = result if isinstance(result, tuple) else (result,)
+            assert all(type(x) is int for x in flat), result

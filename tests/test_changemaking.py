@@ -1,5 +1,6 @@
 """Change-making tests: DP vs greedy, orderliness certification, greedy
 presentations and the colex order machinery."""
+import itertools
 import time
 
 import pytest
@@ -34,6 +35,7 @@ class TestCoinSystem:
 
     @pytest.mark.parametrize("coins, bad", [
         ([1, 3.5], "3.5"), ([1.0, 3], "1.0"), ([True, 3], "True"),
+        ([1, "7"], "'7'"),
     ])
     def test_refuses_non_integers(self, coins, bad):
         with pytest.raises(InvalidParamsError, match=bad):
@@ -203,7 +205,26 @@ class TestGreedyPresentation:
         with pytest.raises(InvalidParamsError):
             GreedyPresentation(2, 3, (0, 0))  # wrong length
         with pytest.raises(InvalidParamsError):
-            GreedyPresentation(2, 2, (5, 0))  # top digit not greedy quotient
+            # top digit not the greedy quotient; the non-top rule refuses it
+            GreedyPresentation(2, 2, (5, 0))
+
+    def test_rules_imply_the_top_digit(self):
+        # every vector that passes the rules is the greedy presentation of
+        # its value, so its top digit is value // R_k with no rule for it
+        passed = 0
+        for b in range(2, 6):
+            for k in range(1, 6):
+                top_coin = (b**k - 1) // (b - 1)
+                for lower in itertools.product(range(b + 1), repeat=k - 1):
+                    for top in range(4):
+                        try:
+                            pres = GreedyPresentation(b, k, (*lower, top))
+                        except InvalidParamsError:
+                            continue
+                        passed += 1
+                        assert top == pres.value() // top_coin, pres
+                        assert greedy_presentation(b, k, pres.value()) == pres
+        assert passed == 6656
 
     def test_optimality_via_orderliness(self):
         for b, k in [(2, 4), (3, 3)]:
@@ -228,6 +249,12 @@ class TestColexAndWeight:
         pres = greedy_presentation(3, 3, 17)  # 17 = 1*13 + 1*4 + 0
         assert pres.digits == (0, 1, 1)
         assert weight(pres) == 3**2 * 1 + 3**3 * 1
+
+    def test_weight_reads_only_nonzero_digits(self):
+        # 5 = 3 + 1 + 1: digits (2, 1, 0, ...), so 2*2 + 1*4, whatever k is
+        started = time.perf_counter()
+        assert weight(greedy_presentation(2, 2 * 10**4, 5)) == 8
+        assert time.perf_counter() - started < 0.2
 
     def test_colex_of_values_orders_weights(self):
         # exhaustive small sweep of the monotonicity the formulas rely on
