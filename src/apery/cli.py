@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
 from .closed_forms import FamilyParams, evaluate
-from .core import Evaluation, GeneratorList, SemigroupReport
+from .core import Evaluation, GeneratorList, SemigroupReport, check_int, \
+    parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FAMILY_NAMES, FamilySpec, catalog, resolve
 from .verify import GridSpec, cross_check, property_suite
@@ -119,25 +120,15 @@ def _emit(fmt: str, payload, header, rows, lines) -> None:
             print(line)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit 2; this tool reserves 2 for
-    verification mismatches, so usage errors exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit2(f"{self.prog}: error: {message}")
-
-
-class SystemExit2(Exception):
-    """Usage error carrier; caught in main and mapped to EXIT_INVALID."""
+def _flag_int(text: str) -> int:
+    try:
+        return parse_int(text, "value")
+    except InvalidParamsError as err:  # argparse drops a ValueError's text
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise InvalidParamsError(
-            f"{what} must be comma-separated decimals, got {text!r}")
+    return [parse_int(p, what) for p in text.split(",") if p.strip()]
 
 
 def _add_engine(sub: argparse.ArgumentParser) -> None:
@@ -156,7 +147,7 @@ def _evaluation(args) -> tuple[dict, Evaluation]:
     if args.gens is not None:
         if any(v is not None for v in (args.a, args.b, args.d, args.k)):
             raise InvalidParamsError("--gens excludes --a/--b/--d/--k")
-        gens = GeneratorList(_parse_ints(args.gens, "generators"))
+        gens = GeneratorList(_parse_ints(args.gens, "generator"))
         return {"gens": list(gens.elements)}, evaluate(gens, "oracle")
     missing = [n for n in "abdk" if getattr(args, n) is None]
     if missing:
@@ -242,16 +233,16 @@ def _family_list_lines(entries):
 
 
 def _parse_range(text: str) -> range:
-    match = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if not match:
+    lo, sep, hi = text.partition("..")
+    if not sep:
         raise InvalidParamsError(f"range must look like 2..8, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if hi < lo:
-        raise InvalidParamsError(f"empty range {text!r}")
+    lo = parse_int(lo, "range start")
+    hi = check_int(parse_int(hi, "range end"), "range end", lo)
     return range(lo, hi + 1)
 
 
-_FAMILY_KEYS = ("n", "m", "b", "k", "d")
+_FAMILY_KEYS = tuple(dict.fromkeys(  # every family parameter, once each
+    p["name"] for entry in catalog() for p in entry["params"]))
 
 
 def _cmd_family(args) -> int:
@@ -298,7 +289,7 @@ def _family_lines(records):
 
 
 def _cmd_orderly(args) -> int:
-    coins = CoinSystem(_parse_ints(args.coins, "coins"))
+    coins = CoinSystem(_parse_ints(args.coins, "coin"))
     verdict = is_orderly(coins)
     counter = verdict.counterexample
     _emit(args.format,
@@ -343,13 +334,13 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="apery",
-                     description="Numerical semigroup calculator: Frobenius "
-                                 "numbers, genus, Apery sets, "
-                                 "pseudo-Frobenius sets, named families, "
-                                 "and closed-form vs oracle verification.")
-    subs = parser.add_subparsers(dest="command", parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="apery",
+        description="Numerical semigroup calculator: Frobenius numbers, "
+                    "genus, Apery sets, pseudo-Frobenius sets, named "
+                    "families, and closed-form vs oracle verification.")
+    subs = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
             ("frobenius", "largest integer not in the semigroup"),
@@ -362,7 +353,7 @@ def build_parser() -> _Parser:
         sub.add_argument("--gens",
                          help="comma-separated generators (oracle only)")
         for key in "abdk":
-            sub.add_argument(f"--{key}", type=int)
+            sub.add_argument(f"--{key}", type=_flag_int)
         _add_engine(sub)
         _add_format(sub)
         sub.set_defaults(run=_cmd_quantity, field=name)
@@ -370,7 +361,7 @@ def build_parser() -> _Parser:
     family = subs.add_parser("family", help="named literature families")
     family.add_argument("name", help="family name, or 'list'")
     for key in _FAMILY_KEYS:
-        family.add_argument(f"--{key}", type=int)
+        family.add_argument(f"--{key}", type=_flag_int)
     family.add_argument("--n-range", dest="n_range",
                         help="inclusive range like 2..8; one record per n")
     _add_engine(family)
@@ -386,14 +377,14 @@ def build_parser() -> _Parser:
 
     verify = subs.add_parser("verify",
                              help="closed forms vs oracle over a grid")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=1)
-    verify.add_argument("--budget", type=int, default=30,
+    verify.add_argument("--seed", type=_flag_int, default=0)
+    verify.add_argument("--jobs", type=_flag_int, default=1)
+    verify.add_argument("--budget", type=_flag_int, default=30,
                         help="property suite case count")
-    verify.add_argument("--a-max", type=int, default=60)
-    verify.add_argument("--b-max", type=int, default=5)
-    verify.add_argument("--d-max", type=int, default=5)
-    verify.add_argument("--k-max", type=int, default=4)
+    verify.add_argument("--a-max", type=_flag_int, default=60)
+    verify.add_argument("--b-max", type=_flag_int, default=5)
+    verify.add_argument("--d-max", type=_flag_int, default=5)
+    verify.add_argument("--k-max", type=_flag_int, default=4)
     verify.add_argument("--check-pf", action="store_true")
     verify.add_argument("--check-monotone", action="store_true")
     verify.add_argument("--inject-mismatch", action="store_true",
@@ -410,16 +401,16 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_INVALID
-        return args.run(args)
-    except SystemExit2 as err:
-        print(err, file=sys.stderr)
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error, after printing the usage and
+        # its message; this tool keeps 2 for verification mismatches
+        if err.code != 2:
+            raise
         return EXIT_INVALID
+    try:
+        return args.run(args)
     except InvalidParamsError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

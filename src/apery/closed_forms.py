@@ -154,7 +154,7 @@ class ClosedEvaluation(Evaluation):
         a, b, d = p.a, p.b, p.d
         n = self.repunit_n
         if n is not None:
-            return repunit_general_genus(b, n, d)
+            return _repunit_genus(b, n, d)
         above = self.above_unit
         series = sum(_greedy_prefix(above, r) for r in range(1, a))
         # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even
@@ -188,7 +188,8 @@ class ClosedEvaluation(Evaluation):
         p = self.source
         n = self.repunit_n
         if n is not None:
-            return tuple(pseudo_frobenius_closed(p.b, n, p.d)[0])
+            f = self.frobenius  # pseudo_frobenius_closed's F - t*d, t < n-1
+            return tuple(range(f - (n - 2) * p.d, f + 1, p.d))
         return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
@@ -263,6 +264,10 @@ def repunit_general_frobenius(b: int, n: int, d: int = 1) -> int:
 def repunit_general_genus(b: int, n: int, d: int = 1) -> int:
     """Genus (b^n - b)(b^n + d - 1)/(2(b-1)) + b^n (n-1)/2, exactly."""
     repunit_params(b, n, d)
+    return _repunit_genus(b, n, d)
+
+
+def _repunit_genus(b: int, n: int, d: int) -> int:
     # (b^n - b)/(b - 1) = b * repunit(b, n-1); halve the combined sum exactly
     return _exact_half(b * repunit_value(b, n - 1) * (b**n + d - 1)
                        + b**n * (n - 1))

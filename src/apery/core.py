@@ -35,16 +35,19 @@ _DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
 def residue_cap() -> int:
     """Effective residue cap: the env setting, else the default."""
     env = os.environ.get(ORACLE_CAP_ENV)
-    if not env:
-        return DEFAULT_RESIDUE_CAP
-    # int() alone would also take "1_000" and non-ASCII digits
-    if _DECIMAL.fullmatch(env):
+    return parse_int(env, ORACLE_CAP_ENV) if env else DEFAULT_RESIDUE_CAP
+
+
+def parse_int(text: str, what: str) -> int:
+    """The integer text spells in ASCII digits, with an optional sign and
+    surrounding whitespace, else InvalidParamsError; int() alone would also
+    take "1_000" and non-ASCII digits."""
+    if _DECIMAL.fullmatch(text):
         try:
-            return int(env)
+            return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise InvalidParamsError(
-        f"{ORACLE_CAP_ENV} must be a decimal integer, got {env!r}")
+    raise InvalidParamsError(f"{what} must be a decimal integer, got {text!r}")
 
 
 def check_cap(count: int, what: str) -> None:

@@ -9,8 +9,8 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from apery import cli, core, frobenius_closed, genus_closed, \
-    report_closed, repunit_general_frobenius, repunit_params, thabit
+from apery import InvalidParamsError, cli, core, frobenius_closed, \
+    genus_closed, report_closed, repunit_general_frobenius, repunit_params, thabit
 from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
@@ -202,6 +202,111 @@ class TestInvalidInput:
         monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "big")
         code, _, _ = run_cli(capsys, "frobenius", "--gens", "5,11")
         assert code == EXIT_INVALID
+
+
+class TestUsageErrors:
+    """argparse's own refusals: usage and message on stderr, exit 1."""
+
+    @pytest.mark.parametrize("argv, prog, message", [
+        (["nonsense"], "apery", "argument command: invalid choice"),
+        (["frobenius", "--gens", "5,7", "--zzz"], "apery",
+         "unrecognized arguments: --zzz"),
+        (["frobenius", "--gens", "5,7", "--engine", "fast"],
+         "apery frobenius", "argument --engine: invalid choice"),
+        (["orderly"], "apery orderly",
+         "the following arguments are required: --coins"),
+        (["frobenius", "--a", "x", "--b", "2", "--d", "1", "--k", "1"],
+         "apery frobenius",
+         "argument --a: value must be a decimal integer, got 'x'"),
+    ])
+    def test_exit_one_with_usage(self, capsys, argv, prog, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["family", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: apery")
+
+    def test_repeated_calls_agree(self, capsys):
+        argvs = [["frobenius", "--gens", "5,7"], ["nonsense"], ["orderly"],
+                 ["family", "mersenne", "--n-range", "2..3", "--format",
+                  "json"], ["genus", "--a", "x"], ["report", "--a", "5"]]
+        first = [run_cli(capsys, *argv) for argv in argvs]
+        assert [run_cli(capsys, *argv) for argv in argvs] == first
+
+
+# each source of integer text, as the environment and argv that carry text
+_TEXT_SOURCES = {
+    "--a": lambda t: ({}, ["frobenius", "--a", t, "--b", "2", "--d", "1",
+                           "--k", "2"]),
+    "--seed": lambda t: ({}, ["verify", "--a-max", "4", "--budget", "2",
+                              "--seed", t]),
+    # the empty text is the whole list: an empty element is skipped
+    "--gens": lambda t: ({}, ["frobenius", "--gens", t and "3," + t]),
+    "--coins": lambda t: ({}, ["orderly", "--coins", t and "1,3," + t]),
+    "--n-range start": lambda t: ({}, ["family", "mersenne", "--n-range",
+                                       t + "..8"]),
+    "--n-range end": lambda t: ({}, ["family", "mersenne", "--n-range",
+                                     "2.." + t]),
+    "SEMIGROUP_ORACLE_CAP": lambda t: ({"SEMIGROUP_ORACLE_CAP": t},
+                                       ["frobenius", "--gens", "5,7"]),
+}
+
+
+class TestIntegerText:
+    """Every integer given as text is ASCII digits with an optional sign
+    and surrounding whitespace (core.parse_int)."""
+
+    def _run(self, capsys, monkeypatch, source, text):
+        env, argv = _TEXT_SOURCES[source](text)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("source, text", [
+        (source, text) for source in _TEXT_SOURCES
+        for text in ("1_000", "\u0663", "1e3", "0x10", "7.0", "")
+        # an empty setting is the variable unset, as the next test shows
+        if (source, text) != ("SEMIGROUP_ORACLE_CAP", "")])
+    def test_refused(self, capsys, monkeypatch, source, text):
+        code, out, err = self._run(capsys, monkeypatch, source, text)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "error" in err
+
+    def test_empty_cap_setting_is_unset(self, capsys, monkeypatch):
+        assert self._run(capsys, monkeypatch, "SEMIGROUP_ORACLE_CAP", "") \
+            == (EXIT_OK, "23\n", "")
+
+    @pytest.mark.parametrize("source", _TEXT_SOURCES)
+    def test_accepted(self, capsys, monkeypatch, source):
+        outputs = {self._run(capsys, monkeypatch, source, text)
+                   for text in ("7", "+7", " 7 ")}
+        assert len(outputs) == 1
+        code, out, err = outputs.pop()
+        assert (code, err) == (EXIT_OK, "")
+        assert out
+
+    def test_accepted_values(self, capsys, monkeypatch):
+        assert self._run(capsys, monkeypatch, "--a", "+7")[1] == "55\n"
+        assert self._run(capsys, monkeypatch, "--gens", " 7 ")[1] == "11\n"
+        _, out, _ = self._run(capsys, monkeypatch, "--n-range end", "+7")
+        assert out.count("family: mersenne") == 6
+
+    def test_past_4300_digits(self, capsys, digit_limit):
+        # main converts a flag of any length; outside it the limit holds
+        b = "1" + "0" * 4300
+        code, out, err = run_cli(capsys, "family", "repunit", "--b", b,
+                                 "--n", "2")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"family: repunit\nn: 2\nb: {b}\n")
+        if digit_limit is not None:
+            with pytest.raises(InvalidParamsError, match="decimal integer"):
+                core.parse_int(b, "b")
 
 
 class TestInfeasible:

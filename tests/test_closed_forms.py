@@ -21,6 +21,7 @@ from apery import (
     frobenius_from_apery,
     genus_closed,
     genus_from_apery,
+    mersenne,
     pseudo_frobenius_closed,
     pseudo_frobenius_from_apery,
     report_closed,
@@ -33,6 +34,7 @@ from apery import (
     semigroup_report,
     thabit,
 )
+from apery import closed_forms
 from apery.closed_forms import evaluate
 
 import oracle_ref
@@ -269,6 +271,23 @@ class TestRepunitSpecialization:
                     assert repunit_general_frobenius(b, n, d) == \
                         frobenius_closed(p)
                     assert repunit_general_genus(b, n, d) == genus_closed(p)
+
+    def test_evaluation_does_not_rebuild_params(self, monkeypatch):
+        # the evaluation already holds checked parameters, so at the repunit
+        # shape its genus and PF do not go through repunit_params again
+        cases = [(2, 20, 1), (3, 4, 7), (10, 3, 7), (2, 3, 3)]
+        expected = [(repunit_general_genus(b, n, d),
+                     tuple(pseudo_frobenius_closed(b, n, d)[0]))
+                    for b, n, d in cases]
+        params = [repunit_params(b, n, d) for b, n, d in cases]
+        assert params[0] == mersenne(20)
+
+        def refuse(*args):
+            raise AssertionError("repunit_params called")
+        monkeypatch.setattr(closed_forms, "repunit_params", refuse)
+        for p, want in zip(params, expected):
+            ev = evaluate(p, "closed")
+            assert (ev.genus, ev.pf) == want
 
     def test_genus_series_shortcut_equals_iteration(self):
         # the specialization uses a closed digit-sum series; force the
