@@ -155,23 +155,28 @@ class ClosedEvaluation(Evaluation):
         n = self.repunit_n
         if n is not None:
             return _repunit_genus(b, n, d)
+        # Selmer's formula over the w_r; (a-1)((b-1)a + d - 1) is even: a
+        # odd makes a-1 even, a even forces d odd
+        half = _exact_half((a - 1) * ((b - 1) * a + d - 1))
+        return sum(self.digit_sums) + half
+
+    @_cached
+    def digit_sums(self) -> list[int]:
+        # s(r) for every class index r < a: the one greedy pass per class
+        a = self.source.a
+        check_cap(a, "residue classes")
         above = self.above_unit
-        series = sum(_greedy_prefix(above, r) for r in range(1, a))
-        # (a-1)((b-1)a + d - 1) is even: a odd makes a-1 even, a even
-        # forces d odd
-        return series + _exact_half((a - 1) * ((b - 1) * a + d - 1))
+        return [_greedy_prefix(above, r) for r in range(a)]
 
     @_cached
     def minima(self) -> tuple[int, ...]:
         # the closed Apery set before AperySet checks it, so that verify
         # reports a wrong formula as a mismatch instead of failing
         p = self.source
-        a, d = p.a, p.d
-        check_cap(a, "residue classes")
-        # residue s holds class index s/d mod a
-        d_inv = pow(d, -1, a)
-        return tuple(_class_minima(p, self.above_unit,
-                                   [s * d_inv % a for s in range(a)]))
+        # residue x holds class index x/d mod a, that is x*d_inv % a
+        d_inv = pow(p.d, -1, p.a)
+        indices = map(p.a.__rmod__, range(0, p.a * d_inv, d_inv))
+        return tuple(_class_minima(p, self.digit_sums, indices))
 
     @_cached
     def apery(self) -> AperySet:
@@ -193,20 +198,21 @@ class ClosedEvaluation(Evaluation):
         return tuple(pseudo_frobenius_from_apery(self.apery))
 
 
-def _class_minima(p: FamilyParams, above, indices) -> list[int]:
-    # w_r = (greedy digit sum of r) * a + r * step for each class index r,
-    # the least element congruent to d*r mod a (steps 2 and 3 above); above
-    # is ClosedEvaluation.above_unit
+def _class_minima(p: FamilyParams, sums, indices) -> list[int]:
+    # w_r = s(r) * a + r * step for each class index r, the least element
+    # congruent to d*r mod a (steps 2 and 3 above); sums[r] is the greedy
+    # digit sum s(r) over ClosedEvaluation.above_unit
     a = p.a
     step = (p.b - 1) * a + p.d
-    return [_greedy_prefix(above, r) * a + r * step for r in indices]
+    return [sums[r] * a + r * step for r in indices]
 
 
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= check_int(r, "residue index") < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    return _class_minima(p, ClosedEvaluation(p).above_unit, (r,))[0]
+    s = _greedy_prefix(ClosedEvaluation(p).above_unit, r)
+    return _class_minima(p, {r: s}, (r,))[0]
 
 
 def apery_closed(p: FamilyParams) -> AperySet:
@@ -227,12 +233,10 @@ def frobenius_closed(p: FamilyParams) -> int:
 def genus_closed(p: FamilyParams) -> int:
     """Genus: digit-sum series over classes 1..a-1 plus (a-1)((b-1)a+d-1)/2.
 
-    The series is a loop of greedy digit sums, one per class, over the
-    repunit coins below a: O(a*min(k, log_b a)) steps, with no bound on a,
-    so it is exponential in the bit length of a.  When (a, k) matches the
-    repunit specialization a = (b^(k+1)-1)/(b-1) the whole genus is
-    repunit_general_genus instead (the two are cross-checked in the test
-    suite).
+    The series sums the table of greedy digit sums that the closed Apery
+    set reads, a entries, so the residue cap applies.  When (a, k) has the
+    repunit shape a = (b^(k+1)-1)/(b-1) the genus is repunit_general_genus
+    instead, with no table and no cap.
     """
     return evaluate(p, "closed").genus
 
@@ -284,12 +288,11 @@ def pseudo_frobenius_closed(b: int, n: int, d: int = 1) -> tuple[list[int], int]
 
 
 def report_closed(p: FamilyParams) -> SemigroupReport:
-    """Closed-form report: F and g by formula everywhere.
+    """Closed-form report: F by formula everywhere.
 
-    PF and type come from the specialized formula when (a, k) has the
-    repunit shape; otherwise from the closed Apery set, which carries a and
-    the family generators g_i with R_i < a, by the successor test of
-    pseudo_frobenius_from_apery.  The latter materializes a list of length
-    a, so the residue cap applies off the repunit shape.
+    At the repunit shape g, PF and type come from the specialized formulas.
+    Otherwise g and PF read the one table of greedy digit sums: g sums it,
+    and PF applies the successor test of pseudo_frobenius_from_apery to the
+    closed Apery set built from it; the residue cap applies.
     """
     return evaluate(p, "closed").report()

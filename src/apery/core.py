@@ -346,11 +346,8 @@ class Evaluation:
         return gaps(self.apery)
 
     def report(self) -> SemigroupReport:
-        # PF first: where it needs the Apery set, the residue cap refuses
-        # an oversized request before a costly genus is computed
-        pf = self.pf
         return SemigroupReport(frobenius=self.frobenius, genus=self.genus,
-                               pf=pf, type=self.type, engine=self.engine)
+                               pf=self.pf, type=self.type, engine=self.engine)
 
 
 class OracleEvaluation(Evaluation):

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from apery import InvalidParamsError, cli, core, frobenius_closed, \
-    genus_closed, report_closed, repunit_general_frobenius, repunit_params, thabit
+    genus_closed, mersenne, report_closed, repunit_general_frobenius, \
+    repunit_params, thabit
 from apery.closed_forms import ClosedEvaluation
 from apery.cli import (
     EXIT_INFEASIBLE,
@@ -328,8 +330,8 @@ class TestInfeasible:
         assert len(out.splitlines()) == 30
 
     def test_huge_family_refused_before_genus(self):
-        # thabit(40) has a = 3 * 2^40 - 1: the cap check on the Apery set
-        # needed for PF must refuse before the O(a*k) genus series starts
+        # thabit(40) has a = 3 * 2^40 - 1: the genus and PF read one table
+        # of a digit sums, whose cap check refuses before any of it is built
         result = subprocess.run(
             [sys.executable, "-m", "apery.cli", "family", "thabit",
              "--n", "40"],
@@ -337,6 +339,17 @@ class TestInfeasible:
             timeout=60)
         assert result.returncode == EXIT_INFEASIBLE
         assert result.stdout == ""
+
+    def test_huge_closed_genus_refused_at_once(self, capsys, monkeypatch):
+        # off the repunit shape the genus would sum 10^11 digit sums; the
+        # cap check on their table refuses first
+        monkeypatch.delenv("SEMIGROUP_ORACLE_CAP", raising=False)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "genus", "--a", "100000000003",
+                                 "--b", "2", "--d", "1", "--k", "3")
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert "100000000003 residue classes exceed the cap" in err
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("setting, argv, code, out", [
         *((setting, argv, code, out) for setting in ("0", "-3")
@@ -403,24 +416,48 @@ class TestOneEvaluation:
         assert code == EXIT_OK
         assert builds == ["apery_set"]
 
-    @pytest.mark.parametrize("command", ["frobenius", "genus"])
+    @pytest.mark.parametrize("command", ["frobenius"])
     def test_plain_scalar_computes_only_itself(self, capsys, monkeypatch,
                                                builds, command):
-        # thabit(7) has a = 383, above this cap: plain F and g need no
-        # Apery set, while a JSON record carries PF, which does
+        # thabit(7) has a = 383, above this cap: plain F needs no Apery set,
+        # while a JSON record carries PF, which does
         p = thabit(7)
         monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "100")
         argv = [command, "--a", str(p.a), "--b", str(p.b), "--d", str(p.d),
                 "--k", str(p.k)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        expected = {"frobenius": frobenius_closed, "genus": genus_closed}
-        assert out == f"{expected[command](p)}\n"
+        assert out == f"{frobenius_closed(p)}\n"
         assert builds == []
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_INFEASIBLE
         assert out == ""
         assert "cap" in err
+
+    def test_plain_genus_reads_the_table_off_the_repunit_shape(
+            self, capsys, monkeypatch, builds):
+        # off the repunit shape the genus sums the capped table of a digit
+        # sums, so thabit(7) (a = 383) is refused; mersenne(9) (a = 511) has
+        # the repunit shape and answers by formula with no table at all
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "100")
+        table = ClosedEvaluation.digit_sums
+        real = table.func
+        tables = []
+        monkeypatch.setattr(table, "func",
+                            lambda ev: tables.append(ev) or real(ev))
+
+        def genus(p):
+            return run_cli(capsys, "genus", "--a", str(p.a), "--b", str(p.b),
+                           "--d", str(p.d), "--k", str(p.k))
+        code, out, err = genus(thabit(7))
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert "383 residue classes exceed the cap 100" in err
+        assert "SEMIGROUP_ORACLE_CAP" in err
+        tables.clear()
+        code, out, err = genus(mersenne(9))
+        assert (code, out, err) == (EXIT_OK, f"{genus_closed(mersenne(9))}\n",
+                                    "")
+        assert (tables, builds) == ([], [])
 
 
 @pytest.fixture

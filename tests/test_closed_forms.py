@@ -25,6 +25,7 @@ from apery import (
     pseudo_frobenius_closed,
     pseudo_frobenius_from_apery,
     report_closed,
+    repunit,
     repunit_general_frobenius,
     repunit_general_genus,
     repunit_params,
@@ -156,10 +157,10 @@ class TestResidueMinimum:
 
     def test_residue_bounds(self):
         p = FamilyParams(a=5, b=2, d=1, k=2)
-        with pytest.raises(InvalidParamsError):
-            residue_minimum(p, -1)
-        with pytest.raises(InvalidParamsError):
-            residue_minimum(p, 5)
+        for r in (-1, 5):
+            with pytest.raises(InvalidParamsError) as err:
+                residue_minimum(p, r)
+            assert str(err.value) == f"residue index {r} outside 0..4"
 
     def test_class_zero(self):
         assert residue_minimum(FamilyParams(a=5, b=2, d=1, k=2), 0) == 0
@@ -202,6 +203,40 @@ class TestClosedAgainstOracle:
         p = FamilyParams(a=10**6 + 3, b=2, d=1, k=2)
         with pytest.raises(OracleInfeasibleError, match=ORACLE_CAP_ENV):
             apery_closed(p)
+
+    def test_genus_closed_cap(self, monkeypatch):
+        # off the repunit shape the genus sums a table of a digit sums, so
+        # the residue cap refuses it; at the repunit shape it is a formula
+        monkeypatch.setenv(ORACLE_CAP_ENV, "100")
+        shapes = set()
+        for n in range(7, 10):
+            for p in (mersenne(n), thabit(n), gu_ze(3, n), repunit(3, n)):
+                assert p.a > 100
+                if repunit_specialization(p) is None:
+                    shapes.add("off")
+                    with pytest.raises(OracleInfeasibleError,
+                                       match=f"{p.a} residue classes"):
+                        genus_closed(p)
+                else:
+                    shapes.add("repunit")
+                    assert genus_closed(p) == repunit_general_genus(
+                        p.b, p.k + 1, p.d)
+        assert shapes == {"off", "repunit"}
+
+    def test_one_greedy_pass_per_class(self, monkeypatch):
+        # the genus and the Apery set read one table of a digit sums, and F
+        # reads one more; at the repunit shape the genus reads none
+        calls = []
+        real = closed_forms._greedy_prefix
+        monkeypatch.setattr(closed_forms, "_greedy_prefix",
+                            lambda above, m: calls.append(m) or real(above, m))
+        for p in (thabit(10), FamilyParams(a=97, b=3, d=2, k=3)):
+            calls.clear()
+            evaluate(p, "closed").report()
+            assert len(calls) == p.a + 1, p
+        calls.clear()
+        evaluate(mersenne(10), "closed").report()
+        assert len(calls) == 1
 
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle
@@ -248,6 +283,14 @@ class TestRepunitSpecialization:
         assert repunit_general_genus(3, 2, 1) == 18
         assert repunit_general_frobenius(2, 3, 1) == 55
         assert repunit_general_genus(2, 3, 1) == 32
+
+    def test_default_d_is_one(self):
+        for b, n in [(2, 2), (3, 2), (2, 5), (5, 3)]:
+            assert repunit_general_frobenius(b, n) == \
+                repunit_general_frobenius(b, n, 1)
+            assert repunit_general_genus(b, n) == repunit_general_genus(b, n, 1)
+            assert pseudo_frobenius_closed(b, n) == \
+                pseudo_frobenius_closed(b, n, 1)
 
     def test_validation(self):
         with pytest.raises(InvalidParamsError):

@@ -171,6 +171,20 @@ class TestCrossCheck:
         assert run_single(FamilyParams(a=41, b=3, d=3, k=3),
                           check_pf=True) == []
 
+    def test_wrong_digit_sum_is_a_mismatch(self, monkeypatch):
+        # one class index off by one: the genus and that class's Apery
+        # element disagree with the oracle, reported rather than raised
+        p = FamilyParams(a=41, b=3, d=3, k=3)
+        genus, minima = closed_forms.genus_closed(p), \
+            closed_forms.apery_closed(p).minima
+        real = closed_forms._greedy_prefix
+        monkeypatch.setattr(closed_forms, "_greedy_prefix",
+                            lambda above, m: real(above, m) + (m == 5))
+        params = (("a", 41), ("b", 3), ("d", 3), ("k", 3))
+        assert run_single(p) == [
+            Mismatch(params, "genus", genus + 1, genus),
+            Mismatch(params, "apery[r=15]", minima[15] + 41, minima[15])]
+
     def test_run_single_at_huge_k(self):
         started = time.perf_counter()
         assert run_single(FamilyParams(a=7, b=2, d=1, k=10**5),
