@@ -21,7 +21,7 @@ from .core import Evaluation, GeneratorList, SemigroupReport, check_int, \
     parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FAMILY_NAMES, FamilySpec, catalog, resolve
-from .verify import GridSpec, cross_check, property_suite
+from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -268,7 +268,7 @@ def _cmd_family(args) -> int:
             raise InvalidParamsError("--n-range excludes --n")
         records = [_family_record(args.name, dict(fixed, n=n), args.engine)
                    for n in _parse_range(args.n_range)]
-    payload = records[0].to_dict() if len(records) == 1 else \
+    payload = records[0].to_dict() if args.n_range is None else \
         {"records": [r.to_dict() for r in records]}
     rows = ([r.input["family"]] + _csv_row(r)[1:-2] for r in records)
     _emit(args.format, payload, ("family",) + _CSV_COLUMNS[1:-2], rows,
@@ -310,9 +310,9 @@ def _summary_line(label: str, report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    grid = GridSpec(a_range=(2, args.a_max), b_range=(2, args.b_max),
-                    d_range=(1, args.d_max), k_range=(1, args.k_max),
-                    check_pf=args.check_pf,
+    ranges = {f"{key}_range": (getattr(DEFAULT_GRID, f"{key}_range")[0],
+                               getattr(args, f"{key}_max")) for key in "abdk"}
+    grid = GridSpec(**ranges, check_pf=args.check_pf,
                     check_monotone=args.check_monotone)
     grid_report = cross_check(grid, jobs=args.jobs,
                               inject_mismatch=args.inject_mismatch)
@@ -381,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=_flag_int, default=1)
     verify.add_argument("--budget", type=_flag_int, default=30,
                         help="property suite case count")
-    verify.add_argument("--a-max", type=_flag_int, default=60)
-    verify.add_argument("--b-max", type=_flag_int, default=5)
-    verify.add_argument("--d-max", type=_flag_int, default=5)
-    verify.add_argument("--k-max", type=_flag_int, default=4)
+    for key in "abdk":
+        verify.add_argument(f"--{key}-max", type=_flag_int,
+                            default=getattr(DEFAULT_GRID, f"{key}_range")[1])
     verify.add_argument("--check-pf", action="store_true")
     verify.add_argument("--check-monotone", action="store_true")
     verify.add_argument("--inject-mismatch", action="store_true",

@@ -46,6 +46,10 @@ from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
 from .errors import ConsistencyError, InvalidParamsError
 
 
+# the lower bounds on a, b, d and k, also for verify's GridSpec range starts
+_FLOORS = {"a": 2, "b": 2, "d": 1, "k": 1}
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Parameters (a, b, d, k) of the generator family; gcd(a, d) = 1."""
@@ -56,7 +60,7 @@ class FamilyParams:
     k: int
 
     def __post_init__(self):
-        for name, low in (("a", 2), ("b", 2), ("d", 1), ("k", 1)):
+        for name, low in _FLOORS.items():
             check_int(getattr(self, name), name, low)
         if gcd(self.a, self.d) != 1:
             raise InvalidParamsError(

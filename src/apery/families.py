@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .closed_forms import FamilyParams, repunit_value
+from .closed_forms import FamilyParams, repunit_params, repunit_value
 from .core import check_int
 from .errors import InvalidParamsError
 
@@ -17,7 +17,7 @@ from .errors import InvalidParamsError
 def mersenne(n: int) -> FamilyParams:
     """Mersenne semigroup: a = 2^n - 1, b = 2, d = 1, k = n - 1; n >= 2."""
     _check_bounds("mersenne", n=n)
-    return FamilyParams(a=2**n - 1, b=2, d=1, k=n - 1)
+    return repunit_params(2, n)
 
 
 def thabit(n: int) -> FamilyParams:
@@ -61,7 +61,7 @@ def liu_xin(m: int, k: int, d: int = 1) -> FamilyParams:
 def repunit(b: int, n: int) -> FamilyParams:
     """Repunit semigroup: a = (b^n - 1)/(b - 1), d = 1, k = n - 1; b, n >= 2."""
     _check_bounds("repunit", b=b, n=n)
-    return FamilyParams(a=repunit_value(b, n), b=b, d=1, k=n - 1)
+    return repunit_params(b, n)
 
 
 def gu_ze(b: int, n: int) -> FamilyParams:

@@ -19,7 +19,7 @@ from random import Random
 
 from .changemaking import _opt_counts_upto, _repunits, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
-from .closed_forms import FamilyParams, evaluate
+from .closed_forms import _FLOORS, FamilyParams, evaluate
 from .core import check_int, residue_cap
 from .errors import ConsistencyError
 
@@ -47,12 +47,14 @@ class GridSpec:
     check_monotone: bool = False
 
     def __post_init__(self):
-        for name, (lo, hi), floor in (("a", self.a_range, 2),
-                                      ("b", self.b_range, 2),
-                                      ("d", self.d_range, 1),
-                                      ("k", self.k_range, 1)):
+        for name, floor in _FLOORS.items():
+            lo, hi = getattr(self, f"{name}_range")
             check_int(lo, f"{name} range start", floor)
             check_int(hi, f"{name} range end", lo)
+
+
+# read by cross_check, the CLI's verify flags and _check_monotone_sampled
+DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -195,11 +197,13 @@ def run_single(p: FamilyParams, *, check_pf: bool = False,
     return records
 
 
-def _run_case(grid: GridSpec, top: int, case) -> list[Mismatch]:
-    # top is the last DP cell that the grid's largest runnable a reads
-    (a, b, d, k), inject = case
+def _run_case(grid: GridSpec, top: int, injected, case) -> list[Mismatch]:
+    # top is the last DP cell that the grid's largest runnable a reads;
+    # injected is the case whose Frobenius value is corrupted, or None
+    a, b, d, k = case
     p = FamilyParams(a=a, b=b, d=d, k=k)
-    records = run_single(p, check_pf=grid.check_pf, inject_mismatch=inject)
+    records = run_single(p, check_pf=grid.check_pf,
+                         inject_mismatch=case == injected)
     if grid.check_monotone:
         records.extend(_monotone_records(p, _param_items(p),
                                          _block_counts(b, k, top)))
@@ -222,24 +226,24 @@ def _coprime_upto(n: int, d: int) -> int:
     return sum(sign * (n // e) for e, sign in divisors)
 
 
-def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
+def cross_check(grid: GridSpec = DEFAULT_GRID, *, jobs: int = 1,
                 inject_mismatch: bool = False) -> VerifyReport:
     """Sweep the grid and compare closed forms with the oracle case by case.
 
-    Cases with gcd(a, d) != 1 are skipped and counted first.  A case runs
-    only when every table it builds fits the residue cap (residue_cap(),
-    read once per sweep): the a residue classes of each Apery set, and with
-    check_monotone the 6a DP cells of the candidate check.  The points above
-    that are counted per d, not visited, so a huge a_range costs no more
-    than its runnable part.  The cases of one (b, k) block are contiguous
-    and read their DP cells from one shared table of 6*a_top cells, a_top
-    being the largest a that runs; at most one table is held at a time,
-    each worker process builds its own, and none is held once the sweep
-    returns or raises.  The oracle accepts every other point, a < k-1
-    included, as an ordinary case.  The report is deterministic for a fixed
-    grid regardless of jobs (elapsed time aside); inject_mismatch corrupts
-    the first case's Frobenius value to exercise the failure path end to
-    end.
+    Every grid point falls in one of three groups.  It runs, a < k-1
+    included, when gcd(a, d) = 1 and a <= a_top, the largest a whose
+    tables fit the residue cap (residue_cap(), read once per sweep): the a
+    residue classes of each Apery set, and with check_monotone the 6a DP
+    cells of the candidate check.  The coprime points above a_top are
+    skipped as oracle-infeasible, counted per d and never visited, so a
+    huge a_range costs no more than its runnable part.  The rest have
+    gcd(a, d) > 1 and are skipped as gcd.  The cases of one (b, k) block
+    are contiguous and read their DP cells from one shared table of
+    6*a_top cells; at most one table is held at a time, each worker
+    process builds its own, and none is held once the sweep returns or
+    raises.  The report is deterministic for a fixed grid regardless of
+    jobs (elapsed time aside); inject_mismatch corrupts the first case's
+    Frobenius value to exercise the failure path end to end.
 
     jobs < 1 raises InvalidParamsError.  The sweep runs in this process
     first.  With jobs > 1, once it has run for a quarter of a process-pool
@@ -252,37 +256,29 @@ def cross_check(grid: GridSpec = GridSpec(), *, jobs: int = 1,
     check_int(jobs, "jobs", 1)
     started = time.perf_counter()
     tables = _MONOTONE_M_LIMIT + 1 if grid.check_monotone else 1
-    limit = residue_cap() // tables
     a_lo, a_hi = grid.a_range
-    above = max(a_lo, limit + 1)  # the first a whose tables exceed the cap
-    d_values = range(grid.d_range[0], grid.d_range[1] + 1)
-    cases = []
-    skips = {SKIP_GCD: 0, SKIP_INFEASIBLE: 0}
-    first = True
-    for b in range(grid.b_range[0], grid.b_range[1] + 1):
-        for k in range(grid.k_range[0], grid.k_range[1] + 1):
-            for d in d_values:
-                for a in range(a_lo, min(a_hi, limit) + 1):
-                    if gcd(a, d) != 1:
-                        skips[SKIP_GCD] += 1
-                        continue
-                    cases.append(((a, b, d, k), inject_mismatch and first))
-                    first = False
-    if above <= a_hi:
-        # every (b, k) pair skips the same points above the limit
-        pairs = (grid.b_range[1] - grid.b_range[0] + 1) \
-            * (grid.k_range[1] - grid.k_range[0] + 1)
-        for d in d_values:
-            coprime = _coprime_upto(a_hi, d) - _coprime_upto(above - 1, d)
-            skips[SKIP_GCD] += pairs * (a_hi - above + 1 - coprime)
-            skips[SKIP_INFEASIBLE] += pairs * coprime
+    a_top = min(a_hi, residue_cap() // tables)
+    b_values, d_values, k_values = (range(lo, hi + 1) for lo, hi in (
+        grid.b_range, grid.d_range, grid.k_range))
+    cases = [(a, b, d, k) for b in b_values for k in k_values
+             for d in d_values for a in range(a_lo, a_top + 1)
+             if gcd(a, d) == 1]
+    pairs = len(b_values) * len(k_values)
+    # the coprime points in below+1..a_hi, the same for every (b, k) pair;
+    # only counted when there are any, as _coprime_upto costs O(sqrt(d))
+    below = max(a_top, a_lo - 1)
+    above = pairs * sum(_coprime_upto(a_hi, d) - _coprime_upto(below, d)
+                        for d in d_values) if a_top < a_hi else 0
+    points = pairs * len(d_values) * (a_hi - a_lo + 1)
+    skips = {SKIP_GCD: points - len(cases) - above, SKIP_INFEASIBLE: above}
 
     # per-case cost spans 0.05 ms to 10 ms, so the rest is predicted from
     # the sweep's own clock, not from a case count, once a quarter of a
     # start-up has passed; two workers save half the rest, which pays for
     # a start-up only when the rest takes two
     workers = min(jobs, os.cpu_count() or 1)
-    run_case = partial(_run_case, grid, tables * min(a_hi, limit) - 1)
+    run_case = partial(_run_case, grid, tables * a_top - 1,
+                       cases[0] if inject_mismatch and cases else None)
     try:
         results = []
         for done, case in enumerate(cases):
@@ -331,7 +327,7 @@ def _check_orderly(rng: Random,
     # spot-check greedy optimality at desk-sized amounts with the DP oracle;
     # a table's cell for M does not depend on its length, so one serves all
     amounts = [rng.randint(1, 5000) for _ in range(5)]
-    optimal = _opt_counts_upto(coins.denominations, max(amounts))
+    optimal = _repunit_counts(b, k, max(amounts))
     records = []
     for m in amounts:
         greedy = greedy_count(coins, m)
@@ -363,10 +359,9 @@ def _check_monotone_sampled(rng: Random,
                             params: tuple[tuple[str, int], ...]
                             ) -> list[Mismatch]:
     while True:
-        a = rng.randint(2, 60)
-        b = rng.randint(2, 5)
-        d = rng.randint(1, 5)
-        k = rng.randint(1, 4)
+        # drawn from the default grid, in the order a, b, d, k
+        a, b, d, k = (rng.randint(*getattr(DEFAULT_GRID, f"{name}_range"))
+                      for name in _FLOORS)
         if gcd(a, d) == 1:
             break
     p = FamilyParams(a=a, b=b, d=d, k=k)

@@ -528,6 +528,17 @@ class TestFamilyCommand:
         records = json.loads(out)["records"]
         assert [r["frobenius"] for r in records] == [35, 27 * 13 - 1]
 
+    def test_one_element_n_range_keeps_the_records_shape(self, capsys):
+        # the JSON shape follows the flag, not the length of the range
+        code, out, _ = run_cli(capsys, "family", "mersenne",
+                               "--n-range", "3..3", "--format", "json")
+        assert code == EXIT_OK
+        [record] = json.loads(out)["records"]
+        assert record["frobenius"] == 2**6 - 2**3 - 1
+        code, out, _ = run_cli(capsys, "family", "mersenne", "--n", "3",
+                               "--format", "json")
+        assert json.loads(out) == record
+
     def test_huge_values_render_as_strings(self, capsys):
         code, out, _ = run_cli(capsys, "family", "mersenne", "--n", "70",
                                "--format", "json")

@@ -137,18 +137,35 @@ class TestCrossCheck:
         assert huge.cases_skipped == 16 * 5 * (10**12 - 1) - 1040
 
     def test_skip_counts_match_a_point_by_point_count(self, monkeypatch):
-        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "20")
-        grid = GridSpec(a_range=(7, 700), b_range=(2, 3), d_range=(1, 30),
-                        k_range=(1, 2))
-        expected = {"gcd": 0, "oracle-infeasible": 0}
-        for d in range(1, 31):
-            for a in range(7, 701):
-                # the gcd test comes first, as in the sweep
-                reason = "gcd" if gcd(a, d) != 1 else \
-                    "oracle-infeasible" if a > 20 else None
-                if reason:
+        # (cap, a_range, d_range, check_monotone): a_lo above the cap, the
+        # monotone check's 6a cells under cap 60 (only a <= 10 runs), d with
+        # repeated prime factors, one-point a ranges on both sides of the
+        # cap, and cap 2
+        inputs = [(20, (7, 700), (1, 30), False),
+                  (20, (25, 90), (1, 12), False),
+                  (60, (2, 40), (1, 12), True),
+                  (20, (3, 200), (8, 27), False),
+                  (20, (15, 15), (1, 30), False),
+                  (20, (45, 45), (1, 30), False),
+                  (2, (2, 50), (1, 12), False),
+                  (2, (2, 50), (1, 12), True)]
+        for cap, (a_lo, a_hi), (d_lo, d_hi), monotone in inputs:
+            monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", str(cap))
+            a_top = cap // 6 if monotone else cap
+            expected = {"run": 0, "gcd": 0, "oracle-infeasible": 0}
+            for d in range(d_lo, d_hi + 1):
+                for a in range(a_lo, a_hi + 1):
+                    # the gcd test comes first, as in the sweep
+                    reason = "gcd" if gcd(a, d) != 1 else \
+                        "oracle-infeasible" if a > a_top else "run"
                     expected[reason] += 2 * 2
-        assert dict(cross_check(grid).skipped) == expected
+            report = cross_check(GridSpec(
+                a_range=(a_lo, a_hi), b_range=(2, 3), d_range=(d_lo, d_hi),
+                k_range=(1, 2), check_monotone=monotone))
+            assert report.cases_run == report.cases_passed \
+                == expected.pop("run")
+            assert dict(report.skipped) == \
+                {reason: n for reason, n in expected.items() if n}
 
     def test_monotone_check_needs_six_cells_per_class(self, monkeypatch):
         # its DP table has 6a cells, so a cap of 60 runs only a <= 10
