@@ -8,6 +8,7 @@ together with their colexicographic order and weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import check_cap, check_int
@@ -46,14 +47,40 @@ def repunit_value(b: int, n: int) -> int:
     return (b**n - 1) // (b - 1)
 
 
+def _repunit_walk(b: int, k: int, below: int | None = None):
+    """The repunits R_j, R_(j-1), ..., R_1 = 1, largest first, by R <- R // b.
+
+    R_j is R_k, or, when below (at least 1) is given, the largest R_j below
+    it with j <= k.  R_j < below exactly when b^j <= (b-1)*below, so one
+    float log finds j and one power of b confirms it.  R_(i+1) = b*R_i + 1
+    makes R_(i+1) // b = R_i, so the walk holds one repunit at a time and a
+    caller that stops early computes no smaller one.
+    """
+    if below is None:
+        r = repunit_value(b, k)
+    else:
+        m = (b - 1) * below
+        j = int(log(m, b))
+        if j > k:  # cheaper than min() at the small a of a verify sweep
+            j = k
+        p = b**j
+        # the float log can miss j by one either way
+        while p > m:
+            p //= b
+            j -= 1
+        while j < k and p * b <= m:
+            p *= b
+            j += 1
+        r = (p - 1) // (b - 1)
+    while r:
+        yield r
+        r //= b
+
+
 def _repunits(b: int, k: int, below: int | None = None) -> list[int]:
-    """The repunits R_1..R_k by R <- b*R + 1, stopping before the first one
-    at or above below when it is given."""
-    coins, r = [], 1
-    while len(coins) < k and (below is None or r < below):
-        coins.append(r)
-        r = b * r + 1
-    return coins
+    """The repunits R_1..R_k, ascending, stopping before the first one at or
+    above below when it is given: the walk, reversed."""
+    return list(_repunit_walk(b, k, below))[::-1]
 
 
 def repunit_coins(b: int, k: int) -> CoinSystem:
@@ -97,18 +124,22 @@ def greedy_count(coins, M: int) -> int:
     return _greedy_prefix(coins.denominations[:0:-1], M)
 
 
-def _greedy_prefix(above: Sequence[int], M: int) -> int:
+def _greedy_prefix(above: Iterable[int], M: int) -> int:
     """Greedy coin count for M given the coins above the unit coin, largest
-    first; the unit coin takes the remainder.
+    first; the unit coin takes the remainder.  The unit coin may close the
+    sequence too, as it does in _repunit_walk.
 
-    Unvalidated, for callers that checked their input.  A caller that counts
-    many amounts over one coin system reverses its coins once and passes the
-    same sequence every time.
+    Returns as soon as the remainder is 0, so a lazy sequence of coins is
+    not read past that point.  Unvalidated, for callers that checked their
+    input.  A caller that counts many amounts over one coin system reverses
+    its coins once and passes the same sequence every time.
     """
     n = 0
     for c in above:
         q, M = divmod(M, c)
         n += q
+        if not M:
+            return n
     return n + M
 
 
@@ -173,16 +204,28 @@ class GreedyPresentation:
     def __post_init__(self):
         b = check_int(self.b, "base", 2)
         k = check_int(self.k, "length", 1)
-        digits = tuple(check_int(x, "digit", 0) for x in self.digits)
+        digits = tuple(self.digits)
+        # each rule is one pass in C over the digits, so a long run of zero
+        # digits costs no Python step per digit; a digit that is not an
+        # exact int goes through check_int, which names it
+        if not set(map(type, digits)) <= {int}:
+            digits = tuple(check_int(x, "digit", 0) for x in digits)
         object.__setattr__(self, "digits", digits)
         if len(digits) != k:
             raise InvalidParamsError(f"expected {k} digits, got {len(digits)}")
-        if any(x > b for x in digits[:-1]):
+        check_int(min(digits), "digit", 0)
+        if max(digits[:-1], default=0) > b:
             raise InvalidParamsError(f"non-top digits must be <= {b}: {digits}")
-        for i in range(1, k - 1):  # positions 2..k-1, 1-based
-            if digits[i] == b and any(digits[:i]):
-                raise InvalidParamsError(
-                    f"digit b at position {i + 1} forces lower digits to zero: {digits}")
+        # a digit b at positions 2..k-1 (1-based) forces all lower digits to
+        # zero; the lowest such b is nonzero, so any higher one is refused
+        try:
+            i = digits.index(b, 1, k - 1)
+            if not any(digits[:i]):
+                i = digits.index(b, i + 1, k - 1)
+        except ValueError:
+            return
+        raise InvalidParamsError(
+            f"digit b at position {i + 1} forces lower digits to zero: {digits}")
 
     def value(self) -> int:
         """The represented amount."""
@@ -190,29 +233,41 @@ class GreedyPresentation:
                    for i, x in enumerate(self.digits, start=1) if x)
 
 
-def greedy_presentation(b: int, k: int, M: int) -> GreedyPresentation:
-    """Greedy digits of M over (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)).
-
-    Largest denomination first, from the highest one at most M; the result
-    is also an optimal representation because the repunit sequence is
-    orderly.  repunit_value, not the closed forms' _repunits, keeps
-    digit_sum an independent check of the closed F.
-    """
+def _greedy_digits(b: int, k: int, M: int) -> list[int]:
+    # the greedy digits of M, little-endian, up to the highest repunit R_top
+    # at most M (top >= 1), with no zero digit above it: O(top) steps
+    # whatever k is
     check_int(b, "base", 2)
     check_int(k, "length", 1)
     check_int(M, "amount", 0)
     top = 1
     while top < k and repunit_value(b, top + 1) <= M:
         top += 1
-    digits = [0] * k
+    digits = [0] * top
     for i in range(top, 0, -1):
         digits[i - 1], M = divmod(M, repunit_value(b, i))
-    return GreedyPresentation(b, k, tuple(digits))
+    return digits
+
+
+def greedy_presentation(b: int, k: int, M: int) -> GreedyPresentation:
+    """Greedy digits of M over (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)).
+
+    Largest denomination first, from the highest one at most M; the result
+    is also an optimal representation because the repunit sequence is
+    orderly.  repunit_value, not the closed forms' _repunit_walk, keeps
+    digit_sum an independent check of the closed F.
+    """
+    digits = _greedy_digits(b, k, M)
+    return GreedyPresentation(b, k, (*digits, *[0] * (k - len(digits))))
 
 
 def digit_sum(b: int, k: int, M: int) -> int:
-    """Coin count of the greedy presentation (equals the optimal count)."""
-    return sum(greedy_presentation(b, k, M).digits)
+    """Coin count of the greedy presentation (equals the optimal count).
+
+    Sums the digits up to the highest repunit at most M, with no vector of
+    k digits to build, so its cost does not grow with k.
+    """
+    return sum(_greedy_digits(b, k, M))
 
 
 def weight(presentation: GreedyPresentation) -> int:

@@ -26,7 +26,12 @@ formulas with no search, for every a >= 2 and k >= 1:
    s(r) <= r < a < step, so g_i is w_r, a sum of a and the g_j with
    R_j < a, plus a multiple of a.  So F, the genus, the Apery set and the
    successor test for PF read only the coins R_i < a with i <= k, at most
-   about log_b(a) of them however large k is.
+   about log_b(a) of them however large k is.  F reads them top down:
+   the largest is R_j with j <= k and b^j <= (b-1)*a, and R_(i+1) = b*R_i
+   + 1 gives each next one as R <- R // b.  The greedy digit sum stops at
+   the first zero remainder, so F at an L-bit a holds O(L) bits, and on
+   the named families it divides by only the few repunits that carry the
+   nonzero digits of a-1.
 
 The genus follows from the Apery set by Selmer's formula and PF by the
 successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from itertools import islice, takewhile
 from math import gcd
 
-from .changemaking import _greedy_prefix, _repunits, repunit_value
+from .changemaking import _greedy_prefix, _repunit_walk, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
     OracleEvaluation, SemigroupReport, _cached, check_cap, check_int, \
     pseudo_frobenius_from_apery
@@ -48,6 +53,10 @@ from .errors import ConsistencyError, InvalidParamsError
 
 # the lower bounds on a, b, d and k, also for verify's GridSpec range starts
 _FLOORS = {"a": 2, "b": 2, "d": 1, "k": 1}
+
+# up to this bit length of a, F reads ClosedEvaluation.above_unit, at most
+# 64 coins of at most 64 bits, which the digit-sum table then reuses
+_WORD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -127,29 +136,33 @@ class ClosedEvaluation(Evaluation):
     engine = ENGINE_CLOSED
 
     @_cached
-    def coins(self) -> list[int]:
-        # the repunits R_i < a with i <= k (step 6 above)
-        p = self.source
-        return _repunits(p.b, p.k, below=p.a)
-
-    @_cached
     def above_unit(self) -> list[int]:
-        # the coins other than 1, largest first, as _greedy_prefix reads them
-        return self.coins[:0:-1]
+        # the repunits 1 < R_i < a with i <= k (step 6 above), largest
+        # first, as _greedy_prefix reads them: a list for the digit-sum
+        # table, which exists only at an a under the residue cap
+        p = self.source
+        return list(_repunit_walk(p.b, p.k, p.a))[:-1]
 
     @_cached
     def repunit_n(self) -> int | None:
-        # a = R_(k+1) exactly when every R_i with i <= k lies below a and
-        # the next repunit b*R_k + 1 is a
-        p, coins = self.source, self.coins
-        if len(coins) == p.k and p.b * coins[-1] + 1 == p.a:
+        # a = R_(k+1) exactly when (b-1)*a + 1 = b^(k+1); that power has
+        # more than (k+1)*(bits(b)-1) bits, so a longer one is never built
+        p = self.source
+        m = (p.b - 1) * p.a + 1
+        if (p.k + 1) * (p.b.bit_length() - 1) < m.bit_length() \
+                and p.b**(p.k + 1) == m:
             return p.k + 1
         return None
 
     @_cached
     def frobenius(self) -> int:
         p = self.source
-        s_top = _greedy_prefix(self.above_unit, p.a - 1)
+        # s(a-1) over the coin list that the digit-sum table shares while a
+        # fits a machine word; past that, over the walk, which holds one
+        # repunit at a time and stops at the first zero remainder
+        coins = self.above_unit if p.a.bit_length() <= _WORD_BITS \
+            else _repunit_walk(p.b, p.k, p.a)
+        s_top = _greedy_prefix(coins, p.a - 1)
         return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
     @_cached
@@ -184,13 +197,14 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def apery(self) -> AperySet:
-        # a and the g_i with R_i < a, the first len(coins) + 1 terms,
+        # a and the g_i with R_i < a, the first len(above_unit) + 2 terms,
         # generate the semigroup (step 6); a list, because tuple() of an
         # iterator shrinks its result in place, which raised the closed-lib
         # benchmark's peak RSS by 1-2 MB (Python 3.11)
         p = self.source
+        terms = len(self.above_unit) + 2
         return AperySet(p.a, self.minima,
-                        list(islice(_family_terms(p), len(self.coins) + 1)))
+                        list(islice(_family_terms(p), terms)))
 
     @_cached
     def pf(self) -> tuple[int, ...]:
@@ -215,7 +229,7 @@ def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= check_int(r, "residue index") < p.a:
         raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    s = _greedy_prefix(ClosedEvaluation(p).above_unit, r)
+    s = _greedy_prefix(_repunit_walk(p.b, p.k, r + 1), r)
     return _class_minima(p, {r: s}, (r,))[0]
 
 
@@ -248,7 +262,8 @@ def genus_closed(p: FamilyParams) -> int:
 def repunit_specialization(p: FamilyParams) -> int | None:
     """Return n with a = (b^n - 1)/(b - 1) and k = n - 1, or None.
 
-    Builds the repunits only up to the first one at or above a.
+    Compares (b-1)*a + 1 with b^(k+1), which it builds only when the bit
+    lengths allow them to be equal.
     """
     return ClosedEvaluation(p).repunit_n
 

@@ -1,6 +1,7 @@
 """Change-making tests: DP vs greedy, orderliness certification, greedy
 presentations and the colex order machinery."""
 import itertools
+import random
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from apery import (
     repunit_coins,
     weight,
 )
+from apery.changemaking import _greedy_prefix, _repunit_walk, _repunits
 
 import oracle_ref
 
@@ -155,6 +157,58 @@ class TestOrderliness:
         assert is_orderly(coins).orderly == clean
 
 
+def _bottom_up(b, k, below):
+    # the reference: the repunits R_1..R_k below `below`, built bottom up
+    # by R <- b*R + 1
+    coins, r = [], 1
+    while len(coins) < k and r < below:
+        coins.append(r)
+        r = b * r + 1
+    return coins
+
+
+class TestRepunitWalk:
+    def test_walk_equals_the_bottom_up_list_around_each_repunit(self):
+        # a at R_j - 1, R_j and R_j + 1 puts the top repunit on, at and past
+        # the float log's edge; k below, at and above j cuts it by length
+        for b in range(2, 41):
+            for j in range(1, 201):
+                r_j = (b**j - 1) // (b - 1)
+                for a in (r_j - 1, r_j, r_j + 1):
+                    for k in (j - 1, j, j + 1):
+                        if a >= 1 and k >= 1:
+                            assert _repunits(b, k, a) == _bottom_up(b, k, a), \
+                                (b, j, a, k)
+        # (b-1)*a = b^j exactly: math.log(2**2955, 2) reads just under 2955
+        for j in (2955, 2957):
+            assert _repunits(2, j + 1, 2**j) == _bottom_up(2, j + 1, 2**j)
+
+    def test_unbounded_walk_is_every_repunit(self):
+        for b in (2, 3, 10, 10**20):
+            assert list(_repunit_walk(b, 30)) == [
+                (b**i - 1) // (b - 1) for i in range(30, 0, -1)]
+
+    def test_early_exit_equals_digit_sum(self):
+        rng = random.Random(18)
+        for _ in range(2000):
+            b, k = rng.randint(2, 12), rng.randint(1, 60)
+            m = rng.randrange(2 ** rng.randint(1, 220))
+            expected = digit_sum(b, k, m)
+            assert _greedy_prefix(_repunit_walk(b, k, m + 1), m) == expected
+            assert _greedy_prefix(_repunits(b, k)[:0:-1], m) == expected
+
+    def test_walk_stops_where_the_remainder_is_zero(self):
+        # 2 * R_n leaves nothing for the n - 1 smaller repunits
+        read = []
+
+        def coins():
+            for c in _repunit_walk(2, 10**4):
+                read.append(c)
+                yield c
+        assert _greedy_prefix(coins(), 2 * (2**10**4 - 1)) == 2
+        assert len(read) == 1
+
+
 class TestGreedyPresentation:
     def test_digits_and_value(self):
         pres = greedy_presentation(2, 3, 11)
@@ -172,6 +226,12 @@ class TestGreedyPresentation:
         for m in (0, 1, 5, 12, 100, 1000):
             assert digit_sum(2, 10**5, m) == greedy_count(coins, m)
         assert time.perf_counter() - started < 5.0
+
+    def test_digit_sum_does_not_grow_with_k(self):
+        # 5 = 3 + 1 + 1 over R_1, R_2: no vector of k digits is built
+        started = time.perf_counter()
+        assert digit_sum(2, 10**12, 5) == 3
+        assert time.perf_counter() - started < 0.1
 
     def test_value_round_trip(self):
         for b, k in [(2, 3), (3, 4), (5, 2), (4, 1)]:
@@ -207,6 +267,19 @@ class TestGreedyPresentation:
         with pytest.raises(InvalidParamsError):
             # top digit not the greedy quotient; the non-top rule refuses it
             GreedyPresentation(2, 2, (5, 0))
+
+    def test_refusal_names_the_first_bad_position(self):
+        zeros = (0,) * 10**4
+        with pytest.raises(InvalidParamsError, match="position 3 forces"):
+            GreedyPresentation(2, 4, (1, 0, 2, 0))
+        with pytest.raises(InvalidParamsError, match="position 4 forces"):
+            GreedyPresentation(2, 5, (0, 2, 0, 2, 0))
+        with pytest.raises(InvalidParamsError, match="got -1"):
+            GreedyPresentation(2, 10**4 + 2, (1, *zeros, -1))
+        with pytest.raises(InvalidParamsError, match="got 0.5"):
+            GreedyPresentation(2, 10**4 + 2, (*zeros, 0.5, 1))
+        # a list is taken and kept as a tuple
+        assert GreedyPresentation(2, 2, [1, 1]).digits == (1, 1)
 
     def test_rules_imply_the_top_digit(self):
         # every vector that passes the rules is the greedy presentation of

@@ -1,6 +1,7 @@
 """Closed-form evaluator tests: formulas against the oracle and against
 frozen, independently confirmed values."""
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -238,6 +239,17 @@ class TestClosedAgainstOracle:
         evaluate(mersenne(10), "closed").report()
         assert len(calls) == 1
 
+    def test_one_repunit_walk_per_evaluation(self, monkeypatch):
+        # at a word-size a, F reads the coin list that the table reuses
+        walks = []
+        real = closed_forms._repunit_walk
+        monkeypatch.setattr(closed_forms, "_repunit_walk",
+                            lambda *args: walks.append(args) or real(*args))
+        for p in (thabit(10), mersenne(10), FamilyParams(97, 3, 2, 3)):
+            walks.clear()
+            evaluate(p, "closed").report()
+            assert len(walks) == 1, p
+
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle
         p = FamilyParams(a=7, b=3, d=2, k=2)
@@ -434,7 +446,7 @@ class TestRepunitsBelowA:
                                        cut.pf), (a, b, d, k)
                         assert (ev.frobenius, ev.genus, ev.pf) == (
                             oracle.frobenius, oracle.genus, oracle.pf)
-                        assert len(ev.coins) == min(k, kappa)
+                        assert len(ev.above_unit) + 1 == min(k, kappa)
 
     def test_huge_k_answers_at_once(self):
         started = time.perf_counter()
@@ -445,6 +457,45 @@ class TestRepunitsBelowA:
         assert repunit_specialization(
             FamilyParams(7, 10**100, 1, 10**6)) is None
         assert time.perf_counter() - started < 1.0
+
+
+class TestHugeFamilyMembers:
+    """F, the repunit-shape genus and residue_minimum hold O(bits of a)."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("family, frobenius", [
+        (mersenne, lambda n: 2**(2 * n) - 2**n - 1),
+        (thabit, lambda n: 9 * 2**(2 * n) - 3 * 2**n - 1),
+    ])
+    def test_under_one_megabyte(self, family, frobenius):
+        n = 20000
+        p = family(n)
+        f, peak = self.peak(lambda: evaluate(p, "closed").frobenius)
+        assert f == frobenius(n)
+        assert peak < 2**20
+        w, peak = self.peak(lambda: residue_minimum(p, p.a - 1))
+        assert w == f + p.a
+        assert peak < 2**20
+        if family is mersenne:
+            g, peak = self.peak(lambda: evaluate(p, "closed").genus)
+            assert g == repunit_general_genus(2, n)
+            assert peak < 2**20
+
+    def test_repunit_shape_test_builds_no_long_power(self):
+        started = time.perf_counter()
+        assert repunit_specialization(FamilyParams(7, 2, 1, 10**15)) is None
+        assert repunit_specialization(mersenne(20000)) == 20000
+        assert repunit_specialization(
+            FamilyParams(mersenne(20000).a, 2, 1, 20000)) is None
+        assert time.perf_counter() - started < 0.5
 
 
 class TestDocumentedGenusVariant:
