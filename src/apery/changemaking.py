@@ -235,17 +235,23 @@ class GreedyPresentation:
 
 def _greedy_digits(b: int, k: int, M: int) -> list[int]:
     # the greedy digits of M, little-endian, up to the highest repunit R_top
-    # at most M (top >= 1), with no zero digit above it: O(top) steps
-    # whatever k is
+    # at most M (top >= 1), with no zero digit above it; R_i <= M exactly
+    # when b^i <= (b-1)*M + 1, so the float log, which misses by at most
+    # one, puts top at most two too high.  Its own loop, not _repunit_walk,
+    # so that digit_sum stays an independent check of the closed F.
     check_int(b, "base", 2)
     check_int(k, "length", 1)
     check_int(M, "amount", 0)
-    top = 1
-    while top < k and repunit_value(b, top + 1) <= M:
-        top += 1
+    top = max(1, min(k, int(log((b - 1) * M + 1, b)) + 1))
+    r = repunit_value(b, top)
+    while top > 1 and r > M:
+        r, top = (r - 1) // b, top - 1
     digits = [0] * top
-    for i in range(top, 0, -1):
-        digits[i - 1], M = divmod(M, repunit_value(b, i))
+    for i in range(top - 1, -1, -1):
+        digits[i], M = divmod(M, r)
+        if not M:
+            break
+        r = (r - 1) // b
     return digits
 
 
@@ -265,7 +271,8 @@ def digit_sum(b: int, k: int, M: int) -> int:
     """Coin count of the greedy presentation (equals the optimal count).
 
     Sums the digits up to the highest repunit at most M, with no vector of
-    k digits to build, so its cost does not grow with k.
+    k digits to build, so its cost does not grow with k, and divides no
+    further than the first zero remainder.
     """
     return sum(_greedy_digits(b, k, M))
 

@@ -41,7 +41,7 @@ set; Mersenne, Thabit and repunit semigroups are instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import takewhile
 from math import gcd
 
 from .changemaking import _greedy_prefix, _repunit_walk, repunit_value
@@ -53,10 +53,6 @@ from .errors import ConsistencyError, InvalidParamsError
 
 # the lower bounds on a, b, d and k, also for verify's GridSpec range starts
 _FLOORS = {"a": 2, "b": 2, "d": 1, "k": 1}
-
-# up to this bit length of a, F reads ClosedEvaluation.above_unit, at most
-# 64 coins of at most 64 bits, which the digit-sum table then reuses
-_WORD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -136,14 +132,6 @@ class ClosedEvaluation(Evaluation):
     engine = ENGINE_CLOSED
 
     @_cached
-    def above_unit(self) -> list[int]:
-        # the repunits 1 < R_i < a with i <= k (step 6 above), largest
-        # first, as _greedy_prefix reads them: a list for the digit-sum
-        # table, which exists only at an a under the residue cap
-        p = self.source
-        return list(_repunit_walk(p.b, p.k, p.a))[:-1]
-
-    @_cached
     def repunit_n(self) -> int | None:
         # a = R_(k+1) exactly when (b-1)*a + 1 = b^(k+1); that power has
         # more than (k+1)*(bits(b)-1) bits, so a longer one is never built
@@ -157,12 +145,9 @@ class ClosedEvaluation(Evaluation):
     @_cached
     def frobenius(self) -> int:
         p = self.source
-        # s(a-1) over the coin list that the digit-sum table shares while a
-        # fits a machine word; past that, over the walk, which holds one
-        # repunit at a time and stops at the first zero remainder
-        coins = self.above_unit if p.a.bit_length() <= _WORD_BITS \
-            else _repunit_walk(p.b, p.k, p.a)
-        s_top = _greedy_prefix(coins, p.a - 1)
+        # s(a-1) over the walk, which holds one repunit at a time and stops
+        # at the first zero remainder
+        s_top = _greedy_prefix(_repunit_walk(p.b, p.k, p.a), p.a - 1)
         return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
     @_cached
@@ -180,10 +165,11 @@ class ClosedEvaluation(Evaluation):
     @_cached
     def digit_sums(self) -> list[int]:
         # s(r) for every class index r < a: the one greedy pass per class
-        a = self.source.a
-        check_cap(a, "residue classes")
-        above = self.above_unit
-        return [_greedy_prefix(above, r) for r in range(a)]
+        p = self.source
+        check_cap(p.a, "residue classes")
+        # the repunits 1 < R_i < a, i <= k (step 6), largest first, listed once
+        above = list(_repunit_walk(p.b, p.k, p.a))[:-1]
+        return [_greedy_prefix(above, r) for r in range(p.a)]
 
     @_cached
     def minima(self) -> tuple[int, ...]:
@@ -197,14 +183,14 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def apery(self) -> AperySet:
-        # a and the g_i with R_i < a, the first len(above_unit) + 2 terms,
-        # generate the semigroup (step 6); a list, because tuple() of an
-        # iterator shrinks its result in place, which raised the closed-lib
-        # benchmark's peak RSS by 1-2 MB (Python 3.11)
+        # a and the g_i with R_i < a, that is g_i < a*(step+1), generate the
+        # semigroup (step 6); a list, because tuple() of an iterator shrinks
+        # its result in place, which raised the closed-lib benchmark's peak
+        # RSS by 1-2 MB (Python 3.11)
         p = self.source
-        terms = len(self.above_unit) + 2
+        bound = p.a * ((p.b - 1) * p.a + p.d + 1)
         return AperySet(p.a, self.minima,
-                        list(islice(_family_terms(p), terms)))
+                        list(takewhile(bound.__gt__, _family_terms(p))))
 
     @_cached
     def pf(self) -> tuple[int, ...]:
@@ -219,7 +205,7 @@ class ClosedEvaluation(Evaluation):
 def _class_minima(p: FamilyParams, sums, indices) -> list[int]:
     # w_r = s(r) * a + r * step for each class index r, the least element
     # congruent to d*r mod a (steps 2 and 3 above); sums[r] is the greedy
-    # digit sum s(r) over ClosedEvaluation.above_unit
+    # digit sum s(r) over the repunits below a
     a = p.a
     step = (p.b - 1) * a + p.d
     return [sums[r] * a + r * step for r in indices]

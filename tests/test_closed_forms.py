@@ -17,6 +17,7 @@ from apery import (
     apery_closed,
     apery_set,
     build_generators,
+    digit_sum,
     frobenius_closed,
     gu_ze,
     frobenius_from_apery,
@@ -239,16 +240,21 @@ class TestClosedAgainstOracle:
         evaluate(mersenne(10), "closed").report()
         assert len(calls) == 1
 
-    def test_one_repunit_walk_per_evaluation(self, monkeypatch):
-        # at a word-size a, F reads the coin list that the table reuses
-        walks = []
+    def test_frobenius_reads_only_the_coins_it_divides_by(self, monkeypatch):
+        # a - 1 = R_11 + R_10 for thabit(10), so F stops the walk after the
+        # two coins that carry it
+        read = []
         real = closed_forms._repunit_walk
-        monkeypatch.setattr(closed_forms, "_repunit_walk",
-                            lambda *args: walks.append(args) or real(*args))
-        for p in (thabit(10), mersenne(10), FamilyParams(97, 3, 2, 3)):
-            walks.clear()
-            evaluate(p, "closed").report()
-            assert len(walks) == 1, p
+
+        def walk(*args):
+            for r in real(*args):
+                read.append(r)
+                yield r
+
+        monkeypatch.setattr(closed_forms, "_repunit_walk", walk)
+        p = thabit(10)
+        assert evaluate(p, "closed").frobenius == 9 * 2**20 - 3 * 2**10 - 1
+        assert read == [repunit_value(2, 11), repunit_value(2, 10)]
 
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle
@@ -446,7 +452,28 @@ class TestRepunitsBelowA:
                                        cut.pf), (a, b, d, k)
                         assert (ev.frobenius, ev.genus, ev.pf) == (
                             oracle.frobenius, oracle.genus, oracle.pf)
-                        assert len(ev.above_unit) + 1 == min(k, kappa)
+                        assert len(ev.apery.generators) == min(k, kappa) + 1
+
+    def test_generating_set_is_minimal(self):
+        # g is redundant exactly when g - h lies in S for a generator h < g,
+        # read off the oracle Apery set of every family term
+        for a in range(2, 41):
+            for b in range(2, 6):
+                for d in range(1, 8):
+                    if gcd(a, d) != 1:
+                        continue
+                    for k in range(1, 9):
+                        p = FamilyParams(a, b, d, k)
+                        gens = build_generators(p).elements
+                        minima = apery_set(gens).minima
+
+                        def in_s(x):
+                            return x >= minima[x % a]
+
+                        minimal = [g for g in gens if not any(
+                            in_s(g - h) for h in gens if h < g)]
+                        assert list(evaluate(p, "closed").apery.generators) \
+                            == minimal, p
 
     def test_huge_k_answers_at_once(self):
         started = time.perf_counter()
@@ -488,6 +515,14 @@ class TestHugeFamilyMembers:
             g, peak = self.peak(lambda: evaluate(p, "closed").genus)
             assert g == repunit_general_genus(2, n)
             assert peak < 2**20
+
+    def test_digit_sum_of_a_minus_one(self):
+        # a - 1 is R_(n+1) + R_n for thabit and 2*R_(n-1) for mersenne;
+        # digit_sum divides by no smaller repunit
+        for p in (thabit(20000), mersenne(20000)):
+            started = time.perf_counter()
+            assert digit_sum(p.b, p.k, p.a - 1) == 2
+            assert time.perf_counter() - started < 0.05
 
     def test_repunit_shape_test_builds_no_long_power(self):
         started = time.perf_counter()
