@@ -77,17 +77,11 @@ def _repunit_walk(b: int, k: int, below: int | None = None):
         r //= b
 
 
-def _repunits(b: int, k: int, below: int | None = None) -> list[int]:
-    """The repunits R_1..R_k, ascending, stopping before the first one at or
-    above below when it is given: the walk, reversed."""
-    return list(_repunit_walk(b, k, below))[::-1]
-
-
 def repunit_coins(b: int, k: int) -> CoinSystem:
     """The sequence (1, (b^2-1)/(b-1), ..., (b^k-1)/(b-1)) as a coin system."""
     check_int(b, "base", 2)
     check_int(k, "length", 1)
-    return CoinSystem(_repunits(b, k))
+    return CoinSystem(_repunit_walk(b, k))
 
 
 def opt_count(coins, M: int) -> int:
@@ -291,7 +285,5 @@ def colex_compare(x: Sequence[int], y: Sequence[int]) -> int:
     if len(x) != len(y):
         raise InvalidParamsError(
             f"digit vectors differ in length: {len(x)} vs {len(y)}")
-    for a, b in zip(reversed(x), reversed(y)):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+    rx, ry = tuple(reversed(x)), tuple(reversed(y))  # colex: lex, reversed
+    return (rx > ry) - (rx < ry)

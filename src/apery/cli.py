@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -20,7 +21,7 @@ from .closed_forms import FamilyParams, evaluate
 from .core import Evaluation, GeneratorList, SemigroupReport, check_int, \
     parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
-from .families import FAMILY_NAMES, FamilySpec, catalog, resolve
+from .families import FamilySpec, catalog, resolve
 from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
 
 EXIT_OK = 0
@@ -106,18 +107,26 @@ def parse_record(text: str) -> OutputRecord:
 
 
 def _emit(fmt: str, payload, header, rows, lines) -> None:
-    # the one writer per format: JSON, CSV or plain lines.  rows and lines may
+    # the one writer of stdout: JSON, CSV or plain lines.  rows and lines may
     # be generators, so only the chosen layout is built; callers compute every
     # value first, so a request that fails writes nothing to stdout
-    if fmt == "json":
-        print(json.dumps(_encode(payload)))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(_encode(payload)))
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left, as `| head -1` does: keep the exit code, and point
+        # fd 1 at devnull so that the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _flag_int(text: str) -> int:
@@ -198,8 +207,8 @@ def _cmd_quantity(args) -> int:
     if args.format == "plain" and field != "report":
         # a plain single quantity computes only what it prints
         value = ev.apery.minima if field == "apery" else getattr(ev, field)
-        for line in [value] if isinstance(value, int) else value:
-            print(line)
+        _emit("plain", None, None, None,
+              [value] if isinstance(value, int) else value)
         return EXIT_OK
     record = _record(echo, ev, field)
     _emit(args.format, record.to_dict(), _CSV_COLUMNS,
@@ -256,9 +265,6 @@ def _cmd_family(args) -> int:
               ("name", "params", "resolves"), rows,
               _family_list_lines(entries))
         return EXIT_OK
-    if args.name not in FAMILY_NAMES:
-        raise InvalidParamsError(
-            f"unknown family {args.name!r}; try: family list")
     fixed = {key: getattr(args, key) for key in _FAMILY_KEYS
              if getattr(args, key) is not None}
     if args.n_range is None:

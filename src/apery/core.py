@@ -83,9 +83,7 @@ class GeneratorList:
         elems = tuple(sorted({check_int(e, "generator", 1) for e in elements}))
         if not elems:
             raise InvalidParamsError("generator list is empty")
-        g = 0
-        for e in elems:
-            g = gcd(g, e)
+        g = gcd(*elems)
         if g != 1:
             raise InvalidParamsError(
                 f"gcd of generators is {g}, not 1: not a numerical semigroup")
@@ -282,12 +280,7 @@ def gaps(ape: AperySet) -> list[int]:
     """
     check_cap(genus_from_apery(ape), "gaps")
     a = ape.modulus
-    out: list[int] = []
-    for r in range(1, a):
-        n = ape.minima[r] - a
-        while n > 0:
-            out.append(n)
-            n -= a
+    out = [n for r, w in enumerate(ape.minima) for n in range(r, w, a)]
     out.sort()
     return out
 

@@ -6,6 +6,7 @@ applies to Mersenne, Thabit, repunit and the rest by name.
 """
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -183,5 +184,4 @@ def resolve(spec: FamilySpec) -> FamilyParams:
 
 def catalog() -> list[dict]:
     """All eight families with parameter names, bounds and defaults."""
-    return [dict(entry, params=[dict(p) for p in entry["params"]])
-            for entry in _CATALOG]
+    return deepcopy(list(_CATALOG))

@@ -1,10 +1,11 @@
 """Cross-checking harness: closed forms vs the shortest-path oracle.
 
 cross_check sweeps a parameter grid and compares every closed quantity with
-the oracle's value; property_suite spot-checks the three lemma-level facts
-the closed forms rest on (orderliness of the repunit coin system, colex order
-bounding weights, and monotonicity of the per-class candidate function).
-Both emit the same report type, serializable for the CLI.
+the oracle's value.  property_suite spot-checks steps of the closed_forms
+proof: orderliness of the repunit coins (step 2), monotone candidates per
+class (step 3) and opt(x-1) <= opt(x) + b - 1 (step 4, behind step 5 and
+the closed F); and the paper's lemma, unused by that proof, that colex
+order bounds the weights.  Both emit one report type, serializable for the CLI.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from math import gcd
 from operator import sub
 from random import Random
 
-from .changemaking import _opt_counts_upto, _repunits, colex_compare, \
+from .changemaking import _opt_counts_upto, _repunit_walk, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import _FLOORS, FamilyParams, evaluate
 from .core import check_int, residue_cap
@@ -129,7 +130,7 @@ def _repunit_counts(b: int, k: int, top: int) -> list[int]:
     # min-coin counts over the repunits R_1..R_k for the amounts 0..top,
     # through an independent DP, not the greedy shortcut; a cell does not
     # depend on top, so a longer table serves every shorter need
-    return _opt_counts_upto(_repunits(b, k, below=top + 1), top)
+    return _opt_counts_upto(sorted(_repunit_walk(b, k, top + 1)), top)
 
 
 # the table of the current (b, k) block of a cross_check sweep, sized for
@@ -334,6 +335,12 @@ def _check_orderly(rng: Random,
         if optimal[m] != greedy:
             records.append(Mismatch(params, f"orderly-amount[M={m}]",
                                     greedy, optimal[m]))
+    # proof step 4 on the same table: opt(x-1) - opt(x) <= b - 1
+    if max(map(sub, optimal, islice(optimal, 1, None))) > b - 1:
+        x = next(x for x in range(1, len(optimal))
+                 if optimal[x - 1] - optimal[x] > b - 1)
+        records.append(Mismatch(params, f"opt-drop[x={x}]",
+                                optimal[x - 1] - optimal[x], b - 1))
     return records
 
 
@@ -375,9 +382,9 @@ _PROPERTY_CHECKS = (_check_orderly, _check_colex_weight,
 def property_suite(seed: int = 0, budget: int = 100) -> VerifyReport:
     """Run budget many sampled lemma checks; deterministic for a given seed.
 
-    Checks rotate through orderliness, colex-weight monotonicity, and
-    candidate monotonicity.  Any violation points at an implementation bug,
-    since all three are proved facts.
+    Checks rotate through orderliness with the step-4 bound, colex-weight
+    monotonicity, and candidate monotonicity.  Any violation points at an
+    implementation bug, since all of them are proved facts.
     """
     check_int(budget, "budget", 1)
     started = time.perf_counter()

@@ -21,7 +21,7 @@ from apery import (
     repunit_coins,
     weight,
 )
-from apery.changemaking import _greedy_prefix, _repunit_walk, _repunits
+from apery.changemaking import _greedy_prefix, _repunit_walk
 
 import oracle_ref
 
@@ -177,11 +177,12 @@ class TestRepunitWalk:
                 for a in (r_j - 1, r_j, r_j + 1):
                     for k in (j - 1, j, j + 1):
                         if a >= 1 and k >= 1:
-                            assert _repunits(b, k, a) == _bottom_up(b, k, a), \
-                                (b, j, a, k)
+                            assert list(_repunit_walk(b, k, a))[::-1] == \
+                                _bottom_up(b, k, a), (b, j, a, k)
         # (b-1)*a = b^j exactly: math.log(2**2955, 2) reads just under 2955
         for j in (2955, 2957):
-            assert _repunits(2, j + 1, 2**j) == _bottom_up(2, j + 1, 2**j)
+            assert list(_repunit_walk(2, j + 1, 2**j))[::-1] == \
+                _bottom_up(2, j + 1, 2**j)
 
     def test_unbounded_walk_is_every_repunit(self):
         for b in (2, 3, 10, 10**20):
@@ -195,7 +196,8 @@ class TestRepunitWalk:
             m = rng.randrange(2 ** rng.randint(1, 220))
             expected = digit_sum(b, k, m)
             assert _greedy_prefix(_repunit_walk(b, k, m + 1), m) == expected
-            assert _greedy_prefix(_repunits(b, k)[:0:-1], m) == expected
+            assert _greedy_prefix(list(_repunit_walk(b, k))[:-1], m) \
+                == expected
 
     def test_walk_stops_where_the_remainder_is_zero(self):
         # 2 * R_n leaves nothing for the n - 1 smaller repunits
@@ -313,6 +315,8 @@ class TestColexAndWeight:
         assert colex_compare((0, 1), (1, 0)) == 1
         assert colex_compare((2, 1), (2, 1)) == 0
         assert colex_compare((0, 2, 1), (1, 2, 1)) == -1
+        assert colex_compare([0, 2, 1], (1, 2, 1)) == -1  # any sequences
+        assert colex_compare((2, 1), [2, 1]) == 0
 
     def test_compare_length_mismatch(self):
         with pytest.raises(InvalidParamsError):

@@ -179,7 +179,7 @@ class TestInvalidInput:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "family", "fibonacci", "--n", "3")
         assert code == EXIT_INVALID
-        assert "unknown family" in err
+        assert "unknown family 'fibonacci'; known: mersenne, thabit," in err
 
     def test_family_missing_param(self, capsys):
         code, _, _ = run_cli(capsys, "family", "mersenne")
@@ -731,6 +731,32 @@ class TestConsoleEntryPoint:
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout.splitlines()[:4] == [
             "frobenius: 55", "genus: 32", "type: 2", "pf: 54,55"]
+
+    @pytest.mark.parametrize("argv", [
+        ("gaps",), ("gaps", "--format", "csv"), ("report", "--format", "json")])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # the reader takes one line, or its first 8 KiB, of about 0.6 MB and
+        # closes the pipe, as `| head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apery.cli", *argv, "--a", "400",
+             "--b", "2", "--d", "1", "--k", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_env_with_package())
+        assert proc.stdout.readline(8192)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
+    def test_closed_stdout_keeps_the_verify_exit_code(self):
+        # the pipe is closed before anything is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apery.cli", "verify", "--a-max", "6",
+             "--budget", "3", "--inject-mismatch"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_env_with_package())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_MISMATCH, b"")
 
     def test_import_does_not_load_process_pool(self):
         # the pool machinery is imported only when cross_check starts a pool

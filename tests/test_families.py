@@ -186,3 +186,6 @@ class TestSpecAndCatalog:
     def test_catalog_is_a_copy(self):
         catalog()[0]["params"].clear()
         assert catalog()[0]["params"]
+        # every level is copied, song-gt's delta branches too
+        catalog()[3]["delta"][0]["value"] = "x"
+        assert catalog()[3]["delta"][0]["value"] == "1"

@@ -22,6 +22,7 @@ from apery import (
     VerifyReport,
     cross_check,
     property_suite,
+    repunit_coins,
     run_single,
 )
 from test_cli import _env_with_package
@@ -496,6 +497,25 @@ class TestPropertySuite:
             assert [m.quantity for m in report.mismatches] == [
                 f"orderly-amount[M={m}]" for m in amounts]
             assert report.cases_passed == 8
+
+    def test_step4_drop_reported(self, monkeypatch):
+        # opt(5) raised by 20 drops 20 more than b - 1 from x = 5 to x = 6;
+        # the first case of a suite is an orderliness case
+        real = verify._opt_counts_upto
+
+        def dipped(coins, top):
+            dp = real(coins, top)
+            dp[5] += 20
+            return dp
+
+        monkeypatch.setattr(verify, "_opt_counts_upto", dipped)
+        report = property_suite(seed=0, budget=1)
+        assert report.cases_passed == 0
+        (m,) = report.mismatches
+        b, k = dict(m.params)["b"], dict(m.params)["k"]
+        opt = real(list(repunit_coins(b, k)), 6)
+        assert (m.quantity, m.closed_value, m.oracle_value) == (
+            "opt-drop[x=6]", opt[5] + 20 - opt[6], b - 1)
 
     def test_minimal_budget(self):
         assert property_suite(seed=3, budget=1).cases_run == 1
