@@ -137,6 +137,31 @@ def _greedy_prefix(above: Iterable[int], M: int) -> int:
     return n + M
 
 
+def _repunit_greedy_sum(b: int, k: int, x: int) -> int:
+    """Greedy coin count of x over the repunits R_1..R_k, unvalidated.
+
+    Walks the repunits at most x, largest first, and stops at the first
+    zero remainder.  For b = 2, R_i = 2^i - 1, and above a guard 0 bit the
+    greedy digits of x are its binary digits (closed_forms, step 7), so
+    one popcount in C counts them before the walk.  If x has more than k
+    bits, the greedy first takes x // R_k copies of R_k.  Then c is the
+    bit length of popcount(x) and g the lowest 0 bit of x at or above
+    position c, possibly above the top bit; each 1 bit above g is one
+    coin, t in all, and the walk goes on with (x mod 2^(g+1)) + t.
+    """
+    n = 0
+    if b == 2:
+        if x.bit_length() > k:
+            n, x = divmod(x, (1 << k) - 1)
+        c = x.bit_count().bit_length()
+        high = x >> c
+        g1 = c + (~high & (high + 1)).bit_length()  # g + 1
+        t = (x >> g1).bit_count()
+        n += t
+        x = (x & ((1 << g1) - 1)) + t
+    return n + _greedy_prefix(_repunit_walk(b, k, x + 1), x)
+
+
 class Orderliness(NamedTuple):
     orderly: bool
     counterexample: int | None

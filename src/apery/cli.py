@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
 from .closed_forms import FamilyParams, evaluate
-from .core import Evaluation, GeneratorList, SemigroupReport, check_int, \
-    parse_int
+from .core import Evaluation, GeneratorList, SemigroupReport, _shown, \
+    check_int, parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FamilySpec, catalog, resolve
 from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
@@ -244,7 +244,8 @@ def _family_list_lines(entries):
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise InvalidParamsError(f"range must look like 2..8, got {text!r}")
+        raise InvalidParamsError(
+            f"range must look like 2..8, got {_shown(text)}")
     lo = parse_int(lo, "range start")
     hi = check_int(parse_int(hi, "range end"), "range end", lo)
     return range(lo, hi + 1)

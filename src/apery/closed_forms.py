@@ -32,6 +32,21 @@ formulas with no search, for every a >= 2 and k >= 1:
    the first zero remainder, so F at an L-bit a holds O(L) bits, and on
    the named families it divides by only the few repunits that carry the
    nonzero digits of a-1.
+7. For b = 2, R_i = 2^i - 1, and above a guard 0 bit the greedy digits
+   of an amount x are its binary digits.  Let x have at most k bits (a
+   longer x first gives x // R_k copies of R_k and leaves x mod R_k <
+   2^k), let c be the bit length of popcount(x), and let bit g >= c of x
+   be 0.  Once the greedy has taken one coin R_j for each 1 bit j > i of
+   x, t_i coins in all, the remainder is (x mod 2^(i+1)) + t_i, as each
+   coin is 2^j less one.  Take i > g and let e be bit i of x.  The 0 bit
+   at g keeps x mod 2^i at most 2^i - 1 - 2^g, and t_i + e <=
+   popcount(x) < 2^c <= 2^g, so the remainder lies in [e*R_i, (e+1)*R_i):
+   the greedy digit of R_i is e.  So the coins above g number t_g =
+   popcount(x >> (g+1)), one pass in C, and the greedy goes on from R_g
+   with (x mod 2^(g+1)) + t_g, which is below R_(g+1).  With g the lowest
+   such 0 bit, F of the named base-2 families walks a few dozen repunits
+   where step 6's walk took one per bit of a-1; a run of 1 bits from c
+   up to far above it still takes one step per bit.
 
 The genus follows from the Apery set by Selmer's formula and PF by the
 successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and
@@ -44,10 +59,11 @@ from dataclasses import dataclass
 from itertools import takewhile
 from math import gcd
 
-from .changemaking import _greedy_prefix, _repunit_walk, repunit_value
+from .changemaking import _greedy_prefix, _repunit_greedy_sum, \
+    _repunit_walk, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
-    OracleEvaluation, SemigroupReport, _cached, check_cap, check_int, \
-    pseudo_frobenius_from_apery
+    OracleEvaluation, SemigroupReport, _cached, _shown, check_cap, \
+    check_int, pseudo_frobenius_from_apery
 from .errors import ConsistencyError, InvalidParamsError
 
 
@@ -69,7 +85,7 @@ class FamilyParams:
             check_int(getattr(self, name), name, low)
         if gcd(self.a, self.d) != 1:
             raise InvalidParamsError(
-                f"gcd(a, d) = gcd({self.a}, {self.d}) != 1")
+                f"gcd(a, d) = gcd({_shown(self.a)}, {_shown(self.d)}) != 1")
 
 
 def _family_terms(p: FamilyParams):
@@ -145,9 +161,7 @@ class ClosedEvaluation(Evaluation):
     @_cached
     def frobenius(self) -> int:
         p = self.source
-        # s(a-1) over the walk, which holds one repunit at a time and stops
-        # at the first zero remainder
-        s_top = _greedy_prefix(_repunit_walk(p.b, p.k, p.a), p.a - 1)
+        s_top = _repunit_greedy_sum(p.b, p.k, p.a - 1)
         return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
 
     @_cached
@@ -214,8 +228,9 @@ def _class_minima(p: FamilyParams, sums, indices) -> list[int]:
 def residue_minimum(p: FamilyParams, r: int) -> int:
     """Least semigroup element congruent to d*r mod a, for 0 <= r <= a-1."""
     if not 0 <= check_int(r, "residue index") < p.a:
-        raise InvalidParamsError(f"residue index {r} outside 0..{p.a - 1}")
-    s = _greedy_prefix(_repunit_walk(p.b, p.k, r + 1), r)
+        raise InvalidParamsError(
+            f"residue index {_shown(r)} outside 0..{_shown(p.a - 1)}")
+    s = _repunit_greedy_sum(p.b, p.k, r)
     return _class_minima(p, {r: s}, (r,))[0]
 
 

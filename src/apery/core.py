@@ -47,7 +47,22 @@ def parse_int(text: str, what: str) -> int:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise InvalidParamsError(f"{what} must be a decimal integer, got {text!r}")
+    raise InvalidParamsError(
+        f"{what} must be a decimal integer, got {_shown(text)}")
+
+
+def _shown(value) -> str:
+    """value as an error message shows it.  An int wider than 64 bits shows
+    its size, as "<integer of 3000000 bits>": its decimal text takes time
+    quadratic in its length and tells a reader no more.  A text longer than
+    60 characters shows its start and its length, anything else its repr,
+    cut after 200 characters."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}integer of {value.bit_length()} bits>"
+    if isinstance(value, str) and len(value) > 60:
+        return f"{value[:60]!r}... <{len(value)} characters>"
+    return repr(value)[:200]
 
 
 def check_cap(count: int, what: str) -> None:
@@ -55,7 +70,7 @@ def check_cap(count: int, what: str) -> None:
     limit = residue_cap()
     if count > limit:
         raise OracleInfeasibleError(
-            f"{count} {what} exceed the cap {limit}; "
+            f"{_shown(count)} {what} exceed the cap {_shown(limit)}; "
             f"set {ORACLE_CAP_ENV} to raise it")
 
 
@@ -63,9 +78,11 @@ def check_int(value, what: str, low: int | None = None) -> int:
     """Return value if it is an int, not a bool, and at least low when low
     is given; never convert, as int(7.9) would quietly answer for 7."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+        raise InvalidParamsError(
+            f"{what} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
-        raise InvalidParamsError(f"need {what} >= {low}, got {value}")
+        raise InvalidParamsError(
+            f"need {what} >= {_shown(low)}, got {_shown(value)}")
     return value
 
 
@@ -86,7 +103,8 @@ class GeneratorList:
         g = gcd(*elems)
         if g != 1:
             raise InvalidParamsError(
-                f"gcd of generators is {g}, not 1: not a numerical semigroup")
+                f"gcd of generators is {_shown(g)}, not 1: "
+                "not a numerical semigroup")
         object.__setattr__(self, "elements", elems)
 
     @property

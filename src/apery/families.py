@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .closed_forms import FamilyParams, repunit_params, repunit_value
-from .core import check_int
+from .core import _shown, check_int
 from .errors import InvalidParamsError
 
 
@@ -32,7 +32,8 @@ def gu_ze_tang(n: int, m: int) -> FamilyParams:
     _check_bounds("gu-ze-tang", n=n, m=m)
     if m > 2**n:
         raise InvalidParamsError(
-            f"gu-ze-tang needs 2 <= m <= 2^n = {2**n}, got m={m}")
+            f"gu-ze-tang needs 2 <= m <= 2^n = {_shown(2**n)}, "
+            f"got m={_shown(m)}")
     return FamilyParams(a=(2**m - 1) * 2**n - 1, b=2, d=1, k=n + m - 1)
 
 

@@ -2,6 +2,7 @@
 non-int or a bool, or an int below the argument's lower bound, raises
 InvalidParamsError naming the value; nothing converts or answers for it."""
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from apery import (
     contains,
     cross_check,
     digit_sum,
+    genus_closed,
     greedy_count,
     greedy_presentation,
     gu_ze,
@@ -37,6 +39,8 @@ from apery import (
     thabit,
     thabit_base_b,
 )
+from apery.cli import main
+from apery.core import parse_int, residue_cap
 
 P = FamilyParams(7, 2, 1, 2)
 APE = apery_set([3, 5])
@@ -129,3 +133,67 @@ def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params):
                 continue
             flat = result if isinstance(result, tuple) else (result,)
             assert all(type(x) is int for x in flat), result
+
+
+HUGE = 3 * 2**100000 - 1  # 30104 decimal digits
+
+# (label, call that raises with a huge value or a long text in its message)
+HUGE_VALUES = [
+    ("check_cap count", lambda: genus_closed(thabit(100000))),
+    ("check_cap limit", lambda: _with_cap("9" * 4000, lambda: opt_count(
+        [1, 3], 10**5000))),
+    ("check_int bound", lambda: GridSpec(a_range=(-HUGE, 60))),
+    ("check_int low", lambda: GridSpec(a_range=(HUGE, 60))),
+    ("check_int non-int", lambda: mersenne("7" * 100000)),
+    ("parse_int text", lambda: parse_int("7" * 100000 + "x", "value")),
+    ("parse_int cap setting", lambda: _with_cap("x" * 100000, residue_cap)),
+    ("FamilyParams gcd", lambda: FamilyParams(2 * HUGE, 2, 2 * HUGE + 2, 1)),
+    ("GeneratorList gcd", lambda: GeneratorList([2 * HUGE, 4 * HUGE])),
+    ("residue_minimum r", lambda: residue_minimum(thabit(100000), HUGE)),
+    ("gu_ze_tang m", lambda: gu_ze_tang(400, 2**400 + 1)),
+]
+
+
+def _with_cap(setting, call):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SEMIGROUP_ORACLE_CAP", setting)
+        return call()
+
+
+@pytest.mark.parametrize("call", [c for _, c in HUGE_VALUES],
+                         ids=[label for label, _ in HUGE_VALUES])
+def test_error_texts_stay_short(call):
+    # an int wider than 64 bits shows its size, and a long text its start
+    with pytest.raises((InvalidParamsError, OracleInfeasibleError)) as err:
+        call()
+    assert len(str(err.value)) <= 500, str(err.value)[:1000]
+    assert re.search(r"integer of \d+ bits>|\d characters>", str(err.value))
+
+
+def test_integers_up_to_64_bits_show_in_full():
+    for value in (-2**63, 2**64 - 1, -(2**64 - 1)):
+        with pytest.raises(InvalidParamsError, match=rf"got {value}$"):
+            GridSpec(a_range=(2**70, value))
+    with pytest.raises(InvalidParamsError,
+                       match=re.escape("got <negative integer of 65 bits>")):
+        thabit(-2**64)
+    with pytest.raises(OracleInfeasibleError,
+                       match=re.escape("<integer of 100002 bits> residue "
+                                       "classes exceed the cap 10000000;")):
+        _with_cap("10000000", lambda: genus_closed(thabit(100000)))
+
+
+def test_cli_error_text_of_a_huge_member(capsys):
+    started = time.perf_counter()
+    code = main(["family", "thabit", "--n", "100000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert len(captured.err) < 500
+    assert "<integer of 100002 bits> residue classes" in captured.err
+    code = main(["frobenius", "--a", "1" * 200000 + "x", "--b", "2",
+                 "--d", "1", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err) < 1000  # the usage line, then the message
+    assert "<200001 characters>" in captured.err
+    assert time.perf_counter() - started < 1.0

@@ -21,7 +21,8 @@ from apery import (
     repunit_coins,
     weight,
 )
-from apery.changemaking import _greedy_prefix, _repunit_walk
+from apery.changemaking import _greedy_prefix, _repunit_greedy_sum, \
+    _repunit_walk
 
 import oracle_ref
 
@@ -209,6 +210,49 @@ class TestRepunitWalk:
                 yield c
         assert _greedy_prefix(coins(), 2 * (2**10**4 - 1)) == 2
         assert len(read) == 1
+
+
+class TestRepunitGreedySum:
+    """The single-amount digit sum against the walk and against digit_sum,
+    whose loop stays independent of both."""
+
+    @staticmethod
+    def walked(b, k, x):
+        return _greedy_prefix(_repunit_walk(b, k, x + 1), x)
+
+    @staticmethod
+    def run_structured(rng, bits):
+        # alternating runs of 1 and 0 bits, so that guard bits sit at every
+        # distance from the top, and long runs of 1 bits sit above them
+        x = pos = 0
+        while pos < bits:
+            run = rng.randint(1, max(1, bits // rng.choice((2, 4, 8, 32))))
+            if rng.random() < 0.5:
+                x |= ((1 << run) - 1) << pos
+            pos += run
+        return x & ((1 << bits) - 1)
+
+    def test_base_two_equals_the_walk_and_digit_sum(self):
+        rng = random.Random(21)
+        for _ in range(1500):
+            bits = rng.choice((rng.randint(1, 12), rng.randint(3, 600)))
+            for x in (rng.getrandbits(bits) | 1 << (bits - 1),
+                      self.run_structured(rng, bits)):
+                # k below, at and far above the bit length
+                for k in {1, 2, 3, max(1, bits // 2), bits, bits + 2, 10**6}:
+                    s = _repunit_greedy_sum(2, k, x)
+                    assert s == self.walked(2, k, x), (x, k)
+                    if bits <= 200:
+                        assert s == digit_sum(2, k, x), (x, k)
+
+    def test_around_each_base_two_repunit(self):
+        for j in range(1, 400):
+            r_j = 2**j - 1
+            for x in (r_j - 1, r_j, r_j + 1, 2 * r_j):
+                for k in {max(1, j - 1), j, j + 1, 10**6}:
+                    s = _repunit_greedy_sum(2, k, x)
+                    assert s == self.walked(2, k, x) == digit_sum(2, k, x), \
+                        (j, x, k)
 
 
 class TestGreedyPresentation:

@@ -20,6 +20,7 @@ from apery import (
     digit_sum,
     frobenius_closed,
     gu_ze,
+    gu_ze_tang,
     frobenius_from_apery,
     genus_closed,
     genus_from_apery,
@@ -36,8 +37,9 @@ from apery import (
     residue_minimum,
     semigroup_report,
     thabit,
+    thabit_base_b,
 )
-from apery import closed_forms
+from apery import changemaking, closed_forms
 from apery.closed_forms import evaluate
 
 import oracle_ref
@@ -227,11 +229,15 @@ class TestClosedAgainstOracle:
 
     def test_one_greedy_pass_per_class(self, monkeypatch):
         # the genus and the Apery set read one table of a digit sums, and F
-        # reads one more; at the repunit shape the genus reads none
+        # reads one more, through the single-amount sum; at the repunit
+        # shape the genus reads none
         calls = []
         real = closed_forms._greedy_prefix
         monkeypatch.setattr(closed_forms, "_greedy_prefix",
                             lambda above, m: calls.append(m) or real(above, m))
+        single = closed_forms._repunit_greedy_sum
+        monkeypatch.setattr(closed_forms, "_repunit_greedy_sum",
+                            lambda b, k, m: calls.append(m) or single(b, k, m))
         for p in (thabit(10), FamilyParams(a=97, b=3, d=2, k=3)):
             calls.clear()
             evaluate(p, "closed").report()
@@ -241,20 +247,28 @@ class TestClosedAgainstOracle:
         assert len(calls) == 1
 
     def test_frobenius_reads_only_the_coins_it_divides_by(self, monkeypatch):
-        # a - 1 = R_11 + R_10 for thabit(10), so F stops the walk after the
-        # two coins that carry it
+        # a - 1 = R_11 + R_10 for thabit(10) and 2*(R_5 + R_4) for
+        # thabit_base_b(3, 4).  At b = 3 F stops the walk after the two
+        # coins that carry a - 1.  At b = 2, a - 1 = 2^11 + 2^10 - 2 has its
+        # 0 bit 10 above the guard, so bit 11 counts the coin R_11 with no
+        # walk, and the walk reads only R_10 = 2^10 - 1, the remainder.
         read = []
-        real = closed_forms._repunit_walk
+        real = changemaking._repunit_walk
 
         def walk(*args):
             for r in real(*args):
                 read.append(r)
                 yield r
 
-        monkeypatch.setattr(closed_forms, "_repunit_walk", walk)
+        monkeypatch.setattr(changemaking, "_repunit_walk", walk)
         p = thabit(10)
         assert evaluate(p, "closed").frobenius == 9 * 2**20 - 3 * 2**10 - 1
-        assert read == [repunit_value(2, 11), repunit_value(2, 10)]
+        assert read == [repunit_value(2, 10)]
+        read.clear()
+        p = thabit_base_b(3, 4)
+        assert evaluate(p, "closed").frobenius == frobenius_from_apery(
+            apery_set(build_generators(p)))
+        assert read == [repunit_value(3, 5), repunit_value(3, 4)]
 
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle
@@ -515,6 +529,16 @@ class TestHugeFamilyMembers:
             g, peak = self.peak(lambda: evaluate(p, "closed").genus)
             assert g == repunit_general_genus(2, n)
             assert peak < 2**20
+
+    def test_residue_minimum_of_a_long_run_of_ones(self):
+        # a - 1 = 2^20020 - 2^20 - 2 for gu_ze_tang(20, 20000): 19999 1 bits
+        # above the 0 bit 20, each a greedy digit that the walk alone would
+        # divide by; F and residue_minimum share the base-2 digit sum
+        p = gu_ze_tang(20, 20000)
+        started = time.perf_counter()
+        w = residue_minimum(p, p.a - 1)
+        assert time.perf_counter() - started < 0.05
+        assert w == evaluate(p, "closed").frobenius + p.a
 
     def test_digit_sum_of_a_minus_one(self):
         # a - 1 is R_(n+1) + R_n for thabit and 2*R_(n-1) for mersenne;

@@ -1,5 +1,6 @@
 """Named family constructors: resolved parameters, bounds, and coherence
 between overlapping families."""
+import time
 from math import gcd
 
 import pytest
@@ -24,6 +25,9 @@ from apery import (
     thabit,
     thabit_base_b,
 )
+from apery.closed_forms import evaluate
+
+import family_ref
 
 
 class TestResolutions:
@@ -143,6 +147,55 @@ class TestCoherence:
     def test_thabit_frozen(self):
         assert frobenius_closed(thabit(1)) == 29
         assert genus_closed(thabit(1)) == 16
+
+
+class TestNamedFamilyFrobenius:
+    """family_ref's F expressions, derived by hand from the greedy digits
+    of a - 1, against the oracle at small a and the engine up to m = 20000.
+    Song members with m <= n are left out (see song_gt_frobenius)."""
+
+    @staticmethod
+    def oracle_frobenius(p):
+        return frobenius_from_apery(apery_set(build_generators(p)))
+
+    def test_gu_ze_tang_against_the_oracle(self):
+        cases = [(n, m) for n in range(1, 6) for m in range(2, 2**n + 1)
+                 if (2**m - 1) * 2**n <= 5000]
+        assert len(cases) == 24
+        for n, m in cases:
+            assert family_ref.gu_ze_tang_frobenius(n, m) == \
+                self.oracle_frobenius(gu_ze_tang(n, m)), (n, m)
+
+    def test_song_gt_against_the_oracle(self):
+        cases = [(n, m) for n in range(3, 6) for m in range(n + 1, 11)
+                 if (2**m + 1) * 2**n - (2**m - 1) <= 5000]
+        assert len(cases) == 12
+        for n, m in cases:
+            assert family_ref.song_gt_frobenius(n, m) == \
+                self.oracle_frobenius(song_gt(n, m)), (n, m)
+
+    def test_against_the_engine(self):
+        for n in range(1, 9):
+            for m in range(2, min(2**n, 60) + 1):
+                assert family_ref.gu_ze_tang_frobenius(n, m) == \
+                    frobenius_closed(gu_ze_tang(n, m)), (n, m)
+        for n in range(3, 40):
+            for m in range(n + 1, 80):
+                assert family_ref.song_gt_frobenius(n, m) == \
+                    frobenius_closed(song_gt(n, m)), (n, m)
+
+    def test_engine_at_m_20000_in_under_50_ms(self):
+        # the greedy remainder of a - 1 reaches zero only near R_1, so a
+        # walk of the repunits alone divides by one repunit per bit of a
+        for family, expression, ns in (
+                (gu_ze_tang, family_ref.gu_ze_tang_frobenius, (15, 20)),
+                (song_gt, family_ref.song_gt_frobenius, (3, 10, 20))):
+            for n in ns:
+                p = family(n, 20000)
+                started = time.perf_counter()
+                f = evaluate(p, "closed").frobenius
+                assert time.perf_counter() - started < 0.05, (family, n)
+                assert f == expression(n, 20000), (family, n)
 
 
 class TestSpecAndCatalog:
