@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import log
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import check_cap, check_int
+from .core import _shown, check_cap, check_int
 from .errors import InvalidParamsError
 
 
@@ -231,10 +231,15 @@ class GreedyPresentation:
             digits = tuple(check_int(x, "digit", 0) for x in digits)
         object.__setattr__(self, "digits", digits)
         if len(digits) != k:
-            raise InvalidParamsError(f"expected {k} digits, got {len(digits)}")
+            raise InvalidParamsError(
+                f"expected {_shown(k)} digits, got {len(digits)}")
         check_int(min(digits), "digit", 0)
+        # a refusal names the first bad digit, whose value index() finds there
         if max(digits[:-1], default=0) > b:
-            raise InvalidParamsError(f"non-top digits must be <= {b}: {digits}")
+            above = next(filter(b.__lt__, digits))
+            raise InvalidParamsError(
+                f"non-top digits must be <= {_shown(b)}: position "
+                f"{digits.index(above) + 1} holds {_shown(above)}")
         # a digit b at positions 2..k-1 (1-based) forces all lower digits to
         # zero; the lowest such b is nonzero, so any higher one is refused
         try:
@@ -243,8 +248,10 @@ class GreedyPresentation:
                 i = digits.index(b, i + 1, k - 1)
         except ValueError:
             return
+        low = next(filter(None, digits[:i]))
         raise InvalidParamsError(
-            f"digit b at position {i + 1} forces lower digits to zero: {digits}")
+            f"digit b at position {i + 1} forces lower digits to zero: "
+            f"position {digits.index(low) + 1} holds {_shown(low)}")
 
     def value(self) -> int:
         """The represented amount."""

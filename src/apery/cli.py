@@ -17,9 +17,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
-from .closed_forms import FamilyParams, evaluate
+from .closed_forms import FamilyParams, _param_items, evaluate
 from .core import Evaluation, GeneratorList, SemigroupReport, _shown, \
-    check_int, parse_int
+    check_cap, check_int, parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FamilySpec, catalog, resolve
 from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
@@ -84,7 +84,7 @@ def _decode(obj):
 def _any_digits():
     # answers can be longer than the 4300 digits that Python 3.11 and the
     # later 3.10 releases convert between int and str by default; lift that
-    # limit while the block runs
+    # limit while the block, or each call of a function it decorates, runs
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -96,16 +96,12 @@ def _any_digits():
         sys.set_int_max_str_digits(saved)
 
 
-def serialize_record(record: OutputRecord) -> str:
-    with _any_digits():
-        return json.dumps(_encode(record.to_dict()))
-
-
+@_any_digits()
 def parse_record(text: str) -> OutputRecord:
-    with _any_digits():
-        return OutputRecord(**_decode(json.loads(text)))
+    return OutputRecord(**_decode(json.loads(text)))
 
 
+@_any_digits()
 def _emit(fmt: str, payload, header, rows, lines) -> None:
     # the one writer of stdout: JSON, CSV or plain lines.  rows and lines may
     # be generators, so only the chosen layout is built; callers compute every
@@ -164,7 +160,7 @@ def _evaluation(args) -> tuple[dict, Evaluation]:
             "need --gens or all of --a/--b/--d/--k (missing: "
             + ", ".join(missing) + ")")
     p = FamilyParams(a=args.a, b=args.b, d=args.d, k=args.k)
-    return {"a": p.a, "b": p.b, "d": p.d, "k": p.k}, evaluate(p, args.engine)
+    return dict(_param_items(p)), evaluate(p, args.engine)
 
 
 def _record(echo: dict, ev: Evaluation, field: str = "") -> OutputRecord:
@@ -189,16 +185,16 @@ def _report_lines(record: OutputRecord):
 
 _CSV_COLUMNS = ("gens", "a", "b", "d", "k", "engine", "frobenius", "genus",
                 "type", "pf", "apery", "gaps")
+_FAMILY_CSV_COLUMNS = ("family", "a", "b", "d", "k", "engine", "frobenius",
+                       "genus", "type", "pf")
 
 
-def _csv_row(record: OutputRecord) -> list:
-    # one cell per _CSV_COLUMNS entry; csv writes None as an empty cell
+def _csv_row(record: OutputRecord, columns=_CSV_COLUMNS) -> list:
+    # each column's cell by name; csv writes None, a value not held, as empty
     echo = record.input
-    abdk = echo.get("resolved", echo)
-    return [_join(echo.get("gens", ()), ";"), *map(abdk.get, "abdk"),
-            record.engine, record.frobenius, record.genus, record.type,
-            *(None if values is None else _join(values, ";")
-              for values in (record.pf, record.apery, record.gaps))]
+    cells = {**echo, **echo.get("resolved", {}), **vars(record)}
+    return [_join(value, ";") if isinstance(value, (list, tuple)) else value
+            for value in map(cells.get, columns)]
 
 
 def _cmd_quantity(args) -> int:
@@ -219,7 +215,7 @@ def _cmd_quantity(args) -> int:
 def _family_record(name: str, params: dict, engine: str) -> OutputRecord:
     p = resolve(FamilySpec(name, params))
     echo = {"family": name, "params": dict(params),
-            "resolved": {"a": p.a, "b": p.b, "d": p.d, "k": p.k}}
+            "resolved": dict(_param_items(p))}
     return _record(echo, evaluate(p, engine))
 
 
@@ -273,12 +269,16 @@ def _cmd_family(args) -> int:
     else:
         if "n" in fixed:
             raise InvalidParamsError("--n-range excludes --n")
+        n_values = _parse_range(args.n_range)
+        # stop - start, as len() overflows past 2**63 values; this bounds the
+        # record count, and one record still holds O(n^2) bits
+        check_cap(n_values.stop - n_values.start, "family records")
         records = [_family_record(args.name, dict(fixed, n=n), args.engine)
-                   for n in _parse_range(args.n_range)]
+                   for n in n_values]
     payload = records[0].to_dict() if args.n_range is None else \
         {"records": [r.to_dict() for r in records]}
-    rows = ([r.input["family"]] + _csv_row(r)[1:-2] for r in records)
-    _emit(args.format, payload, ("family",) + _CSV_COLUMNS[1:-2], rows,
+    rows = (_csv_row(r, _FAMILY_CSV_COLUMNS) for r in records)
+    _emit(args.format, payload, _FAMILY_CSV_COLUMNS, rows,
           _family_lines(records))
     return EXIT_OK
 
@@ -401,12 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_any_digits()
 def main(argv=None) -> int:
-    with _any_digits():
-        return _main(argv)
-
-
-def _main(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as err:

@@ -87,6 +87,15 @@ class FamilyParams:
             raise InvalidParamsError(
                 f"gcd(a, d) = gcd({_shown(self.a)}, {_shown(self.d)}) != 1")
 
+    @property
+    def step(self) -> int:
+        """The proof's step (b-1)*a + d: g_i = R_i*step + a."""
+        return (self.b - 1) * self.a + self.d
+
+
+def _param_items(p: FamilyParams) -> tuple[tuple[str, int], ...]:
+    return (("a", p.a), ("b", p.b), ("d", p.d), ("k", p.k))
+
 
 def _family_terms(p: FamilyParams):
     """The generators g_0 = a, g_(i+1) = b*g_i + d for i < k, ascending.
@@ -162,19 +171,17 @@ class ClosedEvaluation(Evaluation):
     def frobenius(self) -> int:
         p = self.source
         s_top = _repunit_greedy_sum(p.b, p.k, p.a - 1)
-        return ((p.b - 1) * p.a - p.b + p.d + s_top) * p.a - p.d
+        return (p.step - p.b + s_top) * p.a - p.d
 
     @_cached
     def genus(self) -> int:
         p = self.source
-        a, b, d = p.a, p.b, p.d
         n = self.repunit_n
         if n is not None:
-            return _repunit_genus(b, n, d)
-        # Selmer's formula over the w_r; (a-1)((b-1)a + d - 1) is even: a
-        # odd makes a-1 even, a even forces d odd
-        half = _exact_half((a - 1) * ((b - 1) * a + d - 1))
-        return sum(self.digit_sums) + half
+            return _repunit_genus(p.b, n, p.d)
+        # Selmer's formula over the w_r; (a-1)(step-1) is even: a odd makes
+        # a-1 even, a even forces d odd and so step odd
+        return sum(self.digit_sums) + _exact_half((p.a - 1) * (p.step - 1))
 
     @_cached
     def digit_sums(self) -> list[int]:
@@ -202,7 +209,7 @@ class ClosedEvaluation(Evaluation):
         # its result in place, which raised the closed-lib benchmark's peak
         # RSS by 1-2 MB (Python 3.11)
         p = self.source
-        bound = p.a * ((p.b - 1) * p.a + p.d + 1)
+        bound = p.a * (p.step + 1)
         return AperySet(p.a, self.minima,
                         list(takewhile(bound.__gt__, _family_terms(p))))
 
@@ -220,8 +227,7 @@ def _class_minima(p: FamilyParams, sums, indices) -> list[int]:
     # w_r = s(r) * a + r * step for each class index r, the least element
     # congruent to d*r mod a (steps 2 and 3 above); sums[r] is the greedy
     # digit sum s(r) over the repunits below a
-    a = p.a
-    step = (p.b - 1) * a + p.d
+    a, step = p.a, p.step
     return [sums[r] * a + r * step for r in indices]
 
 

@@ -20,7 +20,7 @@ from random import Random
 
 from .changemaking import _opt_counts_upto, _repunit_walk, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
-from .closed_forms import _FLOORS, FamilyParams, evaluate
+from .closed_forms import _FLOORS, FamilyParams, _param_items, evaluate
 from .core import check_int, residue_cap
 from .errors import ConsistencyError
 
@@ -122,10 +122,6 @@ class VerifyReport:
         }
 
 
-def _param_items(p: FamilyParams) -> tuple[tuple[str, int], ...]:
-    return (("a", p.a), ("b", p.b), ("d", p.d), ("k", p.k))
-
-
 def _repunit_counts(b: int, k: int, top: int) -> list[int]:
     # min-coin counts over the repunits R_1..R_k for the amounts 0..top,
     # through an independent DP, not the greedy shortcut; a cell does not
@@ -140,27 +136,26 @@ _block_counts = lru_cache(maxsize=1)(_repunit_counts)
 
 def _monotone_records(p: FamilyParams, params: tuple[tuple[str, int], ...],
                       dp: list[int] | None = None) -> list[Mismatch]:
-    # the per-class candidate value(M) = ((b-1)M + dp[M])a + Md at
-    # M = r + m*a must be nondecreasing in m = 0..5; dp holds at least the
-    # 6a cells 0..6a-1 and is built here when not given
-    a, b, d = p.a, p.b, p.d
+    # the per-class candidate value(M) = dp[M]*a + M*step at M = r + m*a
+    # must be nondecreasing in m = 0..5; dp holds at least the 6a cells
+    # 0..6a-1 and is built here when not given
+    a, step = p.a, p.step
     cells = (_MONOTONE_M_LIMIT + 1) * a
     if dp is None:
-        dp = _repunit_counts(b, p.k, cells - 1)
-    # value(M+a) - value(M) = a*((b-1)a + d - (dp[M] - dp[M+a])), so the
-    # candidate drops exactly where dp[M] - dp[M+a] exceeds (b-1)a + d
-    rise = (b - 1) * a + d
-    if max(map(sub, dp, islice(dp, a, cells))) <= rise:
+        dp = _repunit_counts(p.b, p.k, cells - 1)
+    # value(M+a) - value(M) = a*(step - (dp[M] - dp[M+a])), so the
+    # candidate drops exactly where dp[M] - dp[M+a] exceeds step
+    if max(map(sub, dp, islice(dp, a, cells))) <= step:
         return []
 
     def value(big_m):
-        return ((b - 1) * big_m + dp[big_m]) * a + big_m * d
+        return dp[big_m] * a + big_m * step
 
     records = []
     for r in range(a):
         for m in range(1, _MONOTONE_M_LIMIT + 1):
             big_m = m * a + r
-            if dp[big_m - a] - dp[big_m] > rise:
+            if dp[big_m - a] - dp[big_m] > step:
                 records.append(Mismatch(params, f"ndr-monotone[r={r},m={m}]",
                                         value(big_m), value(big_m - a)))
                 break

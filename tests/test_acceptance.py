@@ -33,7 +33,8 @@ from apery import (
     weight,
 )
 from apery.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
-from apery.verify import _monotone_records, _param_items
+from apery.closed_forms import _param_items
+from apery.verify import _monotone_records
 
 
 def _verdict(number, description, ok):

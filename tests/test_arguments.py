@@ -151,6 +151,7 @@ HUGE_VALUES = [
     ("GeneratorList gcd", lambda: GeneratorList([2 * HUGE, 4 * HUGE])),
     ("residue_minimum r", lambda: residue_minimum(thabit(100000), HUGE)),
     ("gu_ze_tang m", lambda: gu_ze_tang(400, 2**400 + 1)),
+    ("GreedyPresentation length", lambda: GreedyPresentation(2, HUGE, (1,))),
 ]
 
 
@@ -168,6 +169,19 @@ def test_error_texts_stay_short(call):
         call()
     assert len(str(err.value)) <= 500, str(err.value)[:1000]
     assert re.search(r"integer of \d+ bits>|\d characters>", str(err.value))
+
+
+@pytest.mark.parametrize("digits, text", [
+    ((3,) * 10**5, "non-top digits must be <= 2: position 1 holds 3"),
+    ((1, 2, *[0] * (10**5 - 2)),
+     "digit b at position 2 forces lower digits to zero: position 1 holds 1"),
+], ids=["digit above b", "digit b above a nonzero digit"])
+def test_digit_rule_refusals_stay_short(digits, text):
+    # the refusal names the first bad position, not the 10^5 digits
+    with pytest.raises(InvalidParamsError) as err:
+        GreedyPresentation(2, 10**5, digits)
+    assert str(err.value) == text
+    assert len(str(err.value)) <= 500
 
 
 def test_integers_up_to_64_bits_show_in_full():

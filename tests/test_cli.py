@@ -1,4 +1,5 @@
 """CLI contract tests: output formats, exit codes, record round-trips."""
+import contextlib
 import csv
 import io
 import json
@@ -22,7 +23,6 @@ from apery.cli import (
     OutputRecord,
     main,
     parse_record,
-    serialize_record,
 )
 
 
@@ -30,6 +30,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def emit_record(record: OutputRecord) -> str:
+    # the JSON text that the CLI's one stdout writer prints for a record
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit("json", record.to_dict(), None, None, None)
+    return out.getvalue()
 
 
 class TestQuantities:
@@ -124,6 +132,21 @@ class TestQuantities:
         assert record["gens"] == "5;11;23"
         assert record["frobenius"] == "29"
         assert record["engine"] == "oracle"
+
+    def test_csv_columns_by_name(self, capsys):
+        # a --gens row leaves the a-k cells empty, and a parameter row the
+        # gens cell and the cells of what the command does not print
+        header = "gens,a,b,d,k,engine,frobenius,genus,type,pf,apery,gaps\r\n"
+        code, out, _ = run_cli(capsys, "report", "--gens", "5,11,23",
+                               "--format", "csv")
+        assert code == EXIT_OK
+        assert out == header + (
+            "5;11;23,,,,,oracle,29,16,2,17;29,0;11;22;23;34,"
+            "1;2;3;4;6;7;8;9;12;13;14;17;18;19;24;29\r\n")
+        code, out, _ = run_cli(capsys, "frobenius", "--a", "7", "--b", "3",
+                               "--d", "2", "--k", "2", "--format", "csv")
+        assert code == EXIT_OK
+        assert out == header + ",7,3,2,2,closed-form,110,57,2,62;110,,\r\n"
 
 
 def _without_engine(out, fmt, engine):
@@ -521,6 +544,37 @@ class TestFamilyCommand:
         values = [int(row[frob_col]) for row in rows[1:]]
         assert values == [2**(2 * n) - 2**n - 1 for n in range(2, 6)]
 
+    def test_csv_header_names_the_family_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "family", "liu-xin", "--m", "2",
+                               "--k", "4", "--format", "csv")
+        assert code == EXIT_OK
+        assert out == ("family,a,b,d,k,engine,frobenius,genus,type,pf\r\n"
+                       "liu-xin,37,2,1,4,closed-form,1479,768,3,"
+                       "1174;1478;1479\r\n")
+
+    def test_n_range_over_the_cap_refused_before_any_record(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_ORACLE_CAP", "20")
+        code, out, _ = run_cli(capsys, "family", "mersenne",
+                               "--n-range", "2..21", "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["records"]) == 20
+        built = []
+        monkeypatch.setattr(cli, "_family_record",
+                            lambda *args: built.append(args))
+        code, out, err = run_cli(capsys, "family", "mersenne",
+                                 "--n-range", "2..22")
+        assert (code, out, built) == (EXIT_INFEASIBLE, "", [])
+        assert "21 family records exceed the cap 20" in err
+        monkeypatch.delenv("SEMIGROUP_ORACLE_CAP")
+        started = time.perf_counter()
+        for end in ("100000000", "1" + "0" * 30):  # len() overflows at 2**63
+            code, out, err = run_cli(capsys, "family", "mersenne",
+                                     "--n-range", f"2..{end}")
+            assert (code, out, built) == (EXIT_INFEASIBLE, "", [])
+            assert len(err) < 500
+        assert time.perf_counter() - started < 1.0
+
     def test_n_range_with_fixed_base(self, capsys):
         code, out, _ = run_cli(capsys, "family", "repunit", "--b", "3",
                                "--n-range", "2..3", "--format", "json")
@@ -568,7 +622,7 @@ class TestFamilyCommand:
         assert row["frobenius"] == frob
         record = parse_record(outputs["json"])
         assert str(record.frobenius) == frob
-        assert parse_record(serialize_record(record)) == record
+        assert parse_record(emit_record(record)) == record
 
 
 class TestOrderlyCommand:
@@ -661,7 +715,7 @@ class TestRecordRoundTrip:
                                   for t in range(88, -1, -1))),
         ]
         for record in records:
-            assert parse_record(serialize_record(record)) == record
+            assert parse_record(emit_record(record)) == record
 
     @given(values=st.lists(
         st.builds(int.__add__, st.sampled_from([2**63, -(2**63)]),
@@ -675,7 +729,7 @@ class TestRecordRoundTrip:
         record = OutputRecord(input={"gens": [5, 7]}, engine="oracle",
                               frobenius=max(pf), genus=genus, type=len(pf),
                               pf=pf)
-        text = serialize_record(record)
+        text = emit_record(record)
         assert parse_record(text) == record
         raw = json.loads(text)
         encoded = [raw["frobenius"], raw["genus"], *raw["pf"]]
@@ -683,12 +737,12 @@ class TestRecordRoundTrip:
             assert enc == (v if -(2**63) <= v < 2**63 else str(v))
 
     def test_round_trip_past_4300_digits(self, digit_limit):
-        # outside main too, both lift Python's int/str digit limit while
-        # they run and then put it back
+        # outside main too, _emit and parse_record lift Python's int/str
+        # digit limit while they run and then put it back
         p = repunit_params(10**1500, 2)
         record = OutputRecord(input={"a": p.a, "b": p.b, "d": p.d, "k": p.k},
                               apery=(0, p.a + 1), **vars(report_closed(p)))
-        text = serialize_record(record)
+        text = emit_record(record)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
             == digit_limit
         assert len(json.loads(text)["frobenius"]) > 4300
@@ -702,7 +756,7 @@ class TestRecordRoundTrip:
         record = parse_record(out)
         assert record.frobenius == 29
         assert record.apery == (0, 11, 22, 23, 34)
-        assert parse_record(serialize_record(record)) == record
+        assert parse_record(emit_record(record)) == record
 
 
 def _env_with_package():

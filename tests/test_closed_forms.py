@@ -1,5 +1,6 @@
 """Closed-form evaluator tests: formulas against the oracle and against
 frozen, independently confirmed values."""
+import dataclasses
 import time
 import tracemalloc
 from math import gcd
@@ -65,6 +66,20 @@ class TestFamilyParams:
     def test_refuses_non_integers(self, a, b, d, k, bad):
         with pytest.raises(InvalidParamsError, match=bad):
             FamilyParams(a=a, b=b, d=d, k=k)
+
+    def test_step_is_a_property_not_a_field(self):
+        # step = (b-1)a + d is read, not stored: the fields, equality, hash
+        # and repr stay those of (a, b, d, k)
+        for a, b, d, k in [(2, 2, 1, 4), (7, 3, 2, 2), (2**70 + 1, 5, 3, 9)]:
+            p = FamilyParams(a=a, b=b, d=d, k=k)
+            assert p.step == (b - 1) * a + d
+            assert p == FamilyParams(a, b, d, k)
+            assert hash(p) == hash(FamilyParams(a, b, d, k))
+            assert repr(p) == f"FamilyParams(a={a}, b={b}, d={d}, k={k})"
+        assert [f.name for f in dataclasses.fields(FamilyParams)] == \
+            ["a", "b", "d", "k"]
+        with pytest.raises(AttributeError):
+            p.step = 1
 
     def test_closed_forms_hold_for_a_below_k_minus_1(self):
         # the paper states its formulas for a >= k-1; they hold for every a

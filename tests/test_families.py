@@ -15,6 +15,7 @@ from apery import (
     frobenius_closed,
     frobenius_from_apery,
     genus_closed,
+    genus_from_apery,
     gu_ze,
     gu_ze_tang,
     liu_xin,
@@ -242,3 +243,25 @@ class TestSpecAndCatalog:
         # every level is copied, song-gt's delta branches too
         catalog()[3]["delta"][0]["value"] = "x"
         assert catalog()[3]["delta"][0]["value"] == "1"
+
+
+class TestNamedFamilyGenus:
+    """family_ref's genus expressions, derived by hand from sums of greedy
+    digit sums, against the oracle at small a and against the engine: its
+    digit-sum table for Thabit, its repunit formula for Mersenne."""
+
+    def test_against_the_oracle(self):
+        for family, expression, ns in (
+                (mersenne, family_ref.mersenne_genus, range(2, 11)),
+                (thabit, family_ref.thabit_genus, range(1, 11))):
+            for n in ns:
+                p = family(n)
+                assert expression(n) == \
+                    genus_from_apery(apery_set(build_generators(p))), n
+
+    def test_against_the_engine(self):
+        for n in range(1, 15):
+            assert family_ref.thabit_genus(n) == genus_closed(thabit(n)), n
+        for n in (*range(2, 17), 10**4):
+            assert family_ref.mersenne_genus(n) == \
+                genus_closed(mersenne(n)), n
