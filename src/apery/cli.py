@@ -198,7 +198,7 @@ def _csv_row(record: OutputRecord, columns=_CSV_COLUMNS) -> list:
 
 
 def _cmd_quantity(args) -> int:
-    field = args.field
+    field = args.command
     echo, ev = _evaluation(args)
     if args.format == "plain" and field != "report":
         # a plain single quantity computes only what it prints
@@ -341,70 +341,92 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _quantity_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--gens",
+                     help="comma-separated generators (oracle only)")
+    for key in "abdk":
+        sub.add_argument(f"--{key}", type=_flag_int)
+    _add_engine(sub)
+    _add_format(sub)
+
+
+def _family_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("name", help="family name, or 'list'")
+    for key in _FAMILY_KEYS:
+        sub.add_argument(f"--{key}", type=_flag_int)
+    sub.add_argument("--n-range", dest="n_range",
+                     help="inclusive range like 2..8; one record per n")
+    _add_engine(sub)
+    _add_format(sub)
+
+
+def _orderly_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--coins", required=True,
+                     help="comma-separated denominations incl. 1")
+    _add_format(sub)
+
+
+def _verify_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=_flag_int, default=0)
+    sub.add_argument("--jobs", type=_flag_int, default=1)
+    sub.add_argument("--budget", type=_flag_int, default=30,
+                     help="property suite case count")
+    for key in "abdk":
+        sub.add_argument(f"--{key}-max", type=_flag_int,
+                         default=getattr(DEFAULT_GRID, f"{key}_range")[1])
+    sub.add_argument("--check-pf", action="store_true")
+    sub.add_argument("--check-monotone", action="store_true")
+    sub.add_argument("--inject-mismatch", action="store_true",
+                     help="corrupt one closed value to test reporting")
+    _add_format(sub)
+
+
+# every subcommand in help order: its help text, the function that declares
+# its options and the function that runs it
+_COMMANDS = {
+    "frobenius": ("largest integer not in the semigroup", _quantity_options,
+                  _cmd_quantity),
+    "genus": ("number of gaps", _quantity_options, _cmd_quantity),
+    "apery": ("least semigroup element per residue class", _quantity_options,
+              _cmd_quantity),
+    "pf": ("pseudo-Frobenius numbers", _quantity_options, _cmd_quantity),
+    "gaps": ("all positive integers outside the semigroup",
+             _quantity_options, _cmd_quantity),
+    "report": ("all quantities at once", _quantity_options, _cmd_quantity),
+    "family": ("named literature families", _family_options, _cmd_family),
+    "orderly": ("is greedy change-making optimal", _orderly_options,
+                _cmd_orderly),
+    "verify": ("closed forms vs oracle over a grid", _verify_options,
+               _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of `command` only,
+    or of all of them when it is None.  The other subcommands keep their
+    help line, so the top-level help and usage do not depend on it."""
     parser = argparse.ArgumentParser(
         prog="apery",
         description="Numerical semigroup calculator: Frobenius numbers, "
                     "genus, Apery sets, pseudo-Frobenius sets, named "
                     "families, and closed-form vs oracle verification.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-            ("frobenius", "largest integer not in the semigroup"),
-            ("genus", "number of gaps"),
-            ("apery", "least semigroup element per residue class"),
-            ("pf", "pseudo-Frobenius numbers"),
-            ("gaps", "all positive integers outside the semigroup"),
-            ("report", "all quantities at once")):
+    for name, (help_text, add_options, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--gens",
-                         help="comma-separated generators (oracle only)")
-        for key in "abdk":
-            sub.add_argument(f"--{key}", type=_flag_int)
-        _add_engine(sub)
-        _add_format(sub)
-        sub.set_defaults(run=_cmd_quantity, field=name)
-
-    family = subs.add_parser("family", help="named literature families")
-    family.add_argument("name", help="family name, or 'list'")
-    for key in _FAMILY_KEYS:
-        family.add_argument(f"--{key}", type=_flag_int)
-    family.add_argument("--n-range", dest="n_range",
-                        help="inclusive range like 2..8; one record per n")
-    _add_engine(family)
-    _add_format(family)
-    family.set_defaults(run=_cmd_family)
-
-    orderly = subs.add_parser("orderly",
-                              help="is greedy change-making optimal")
-    orderly.add_argument("--coins", required=True,
-                         help="comma-separated denominations incl. 1")
-    _add_format(orderly)
-    orderly.set_defaults(run=_cmd_orderly)
-
-    verify = subs.add_parser("verify",
-                             help="closed forms vs oracle over a grid")
-    verify.add_argument("--seed", type=_flag_int, default=0)
-    verify.add_argument("--jobs", type=_flag_int, default=1)
-    verify.add_argument("--budget", type=_flag_int, default=30,
-                        help="property suite case count")
-    for key in "abdk":
-        verify.add_argument(f"--{key}-max", type=_flag_int,
-                            default=getattr(DEFAULT_GRID, f"{key}_range")[1])
-    verify.add_argument("--check-pf", action="store_true")
-    verify.add_argument("--check-monotone", action="store_true")
-    verify.add_argument("--inject-mismatch", action="store_true",
-                        help="corrupt one closed value to test reporting")
-    _add_format(verify)
-    verify.set_defaults(run=_cmd_verify)
-
+        if command in (None, name):
+            add_options(sub)
     return parser
 
 
 @_any_digits()
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so the first
+    # token that is not an option names the command (or is an invalid one)
+    command = next((t for t in argv if not t.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on a usage error, after printing the usage and
         # its message; this tool keeps 2 for verification mismatches
@@ -412,7 +434,7 @@ def main(argv=None) -> int:
             raise
         return EXIT_INVALID
     try:
-        return args.run(args)
+        return _COMMANDS[args.command][2](args)
     except InvalidParamsError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -13,7 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from operator import sub
 from random import Random
@@ -31,6 +31,9 @@ _MONOTONE_M_LIMIT = 5
 # empty 2-worker pool, 26-46 ms on grids of 250-760 cases run at jobs=2
 # (2-core x86-64, Python 3.11).
 _POOL_START_S = 0.05
+
+# How many cases a pool is handed at once: 64 chunks of at most 64 cases.
+_POOL_BATCH = 4096
 
 SKIP_GCD = "gcd"
 SKIP_INFEASIBLE = "oracle-infeasible"
@@ -237,17 +240,21 @@ def cross_check(grid: GridSpec = DEFAULT_GRID, *, jobs: int = 1,
     are contiguous and read their DP cells from one shared table of
     6*a_top cells; at most one table is held at a time, each worker
     process builds its own, and none is held once the sweep returns or
-    raises.  The report is deterministic for a fixed grid regardless of
-    jobs (elapsed time aside); inject_mismatch corrupts the first case's
-    Frobenius value to exercise the failure path end to end.
+    raises.  The cases are generated one at a time in (b, k, d, a) order
+    and only the counts and the mismatches are kept, so a sweep's memory
+    does not grow with its b, d or k ranges.  The report is deterministic
+    for a fixed grid regardless of jobs (elapsed time aside);
+    inject_mismatch corrupts the first case's Frobenius value to exercise
+    the failure path end to end.
 
     jobs < 1 raises InvalidParamsError.  The sweep runs in this process
     first.  With jobs > 1, once it has run for a quarter of a process-pool
-    start-up (_POOL_START_S) and the cases left would take, at its average
-    rate so far, more than two start-ups, those cases go to
-    min(jobs, os.cpu_count(), cases left) worker processes (in process when
-    that is 1).  So a sweep a pool cannot speed up starts none, and no
-    request starts more processes than the machine has cores.
+    start-up (_POOL_START_S) and the points left with a <= a_top (a bound
+    on the cases left) would take, at its average rate so far, more than
+    two start-ups, the cases left go to min(jobs, os.cpu_count(), cases in
+    the first batch) worker processes, _POOL_BATCH cases at a time (in
+    process when that is 1).  So a sweep a pool cannot speed up starts
+    none, and no request starts more processes than the machine has cores.
     """
     check_int(jobs, "jobs", 1)
     started = time.perf_counter()
@@ -256,9 +263,6 @@ def cross_check(grid: GridSpec = DEFAULT_GRID, *, jobs: int = 1,
     a_top = min(a_hi, residue_cap() // tables)
     b_values, d_values, k_values = (range(lo, hi + 1) for lo, hi in (
         grid.b_range, grid.d_range, grid.k_range))
-    cases = [(a, b, d, k) for b in b_values for k in k_values
-             for d in d_values for a in range(a_lo, a_top + 1)
-             if gcd(a, d) == 1]
     pairs = len(b_values) * len(k_values)
     # the coprime points in below+1..a_hi, the same for every (b, k) pair;
     # only counted when there are any, as _coprime_upto costs O(sqrt(d))
@@ -266,49 +270,72 @@ def cross_check(grid: GridSpec = DEFAULT_GRID, *, jobs: int = 1,
     above = pairs * sum(_coprime_upto(a_hi, d) - _coprime_upto(below, d)
                         for d in d_values) if a_top < a_hi else 0
     points = pairs * len(d_values) * (a_hi - a_lo + 1)
-    skips = {SKIP_GCD: points - len(cases) - above, SKIP_INFEASIBLE: above}
+    # the points with a <= a_top: a bound on the cases, which are not listed
+    runnable = pairs * len(d_values) * max(a_top - a_lo + 1, 0)
 
-    # per-case cost spans 0.05 ms to 10 ms, so the rest is predicted from
-    # the sweep's own clock, not from a case count, once a quarter of a
-    # start-up has passed; two workers save half the rest, which pays for
-    # a start-up only when the rest takes two
+    def cases():
+        return ((a, b, d, k) for b in b_values for k in k_values
+                for d in d_values for a in range(a_lo, a_top + 1)
+                if gcd(a, d) == 1)
+
+    injected = next(cases(), None) if inject_mismatch else None
+    run_case = partial(_run_case, grid, tables * a_top - 1, injected)
     workers = min(jobs, os.cpu_count() or 1)
-    run_case = partial(_run_case, grid, tables * a_top - 1,
-                       cases[0] if inject_mismatch and cases else None)
+    mismatches = []
+    cases_run = cases_passed = 0
     try:
-        results = []
-        for done, case in enumerate(cases):
-            if workers > 1:
-                elapsed = time.perf_counter() - started
-                rest_s = elapsed / max(done, 1) * (len(cases) - done)
-                if elapsed >= _POOL_START_S / 4 \
-                        and rest_s >= 2 * _POOL_START_S:
-                    break
-            results.append(run_case(case))
-        rest = cases[len(results):]
-        workers = min(workers, len(rest))
-        if workers > 1:
-            # imported here: the pool machinery costs start-up time and memory
-            # that every other use of the package would pay for nothing
-            from concurrent.futures import ProcessPoolExecutor
-            # four chunks per worker even out a few costly cases; at most 64
-            # cases per chunk, as later cases of a grid cost more and the last
-            # chunk must not leave the other workers idle for long
-            chunksize = min(64, -(-len(rest) // (4 * workers)))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results.extend(pool.map(run_case, rest, chunksize=chunksize))
-        else:
-            results.extend(map(run_case, rest))
+        for records in _results(run_case, cases(), workers, runnable,
+                                started):
+            cases_run += 1
+            cases_passed += not records
+            mismatches += records
     finally:
         _block_counts.cache_clear()
 
-    mismatches = sorted((m for records in results for m in records),
-                        key=lambda m: (m.params, m.quantity))
+    mismatches.sort(key=lambda m: (m.params, m.quantity))
+    skips = {SKIP_GCD: points - cases_run - above, SKIP_INFEASIBLE: above}
     skipped = tuple(sorted((r, c) for r, c in skips.items() if c))
-    return VerifyReport(cases_run=len(results),
-                        cases_passed=results.count([]), skipped=skipped,
-                        mismatches=tuple(mismatches), divergences=(),
+    return VerifyReport(cases_run=cases_run, cases_passed=cases_passed,
+                        skipped=skipped, mismatches=tuple(mismatches),
+                        divergences=(),
                         elapsed_seconds=time.perf_counter() - started)
+
+
+def _results(run_case, cases, workers: int, runnable: int, started: float):
+    # each case's records, in case order.  per-case cost spans 0.05 ms to
+    # 10 ms, so the rest is predicted from the sweep's own clock, not from a
+    # case count, once a quarter of a start-up has passed; two workers save
+    # half the rest, which pays for a start-up only when the rest takes two
+    for done, case in enumerate(cases):
+        if workers > 1:
+            elapsed = time.perf_counter() - started
+            rest_s = elapsed / max(done, 1) * (runnable - done)
+            if elapsed >= _POOL_START_S / 4 and rest_s >= 2 * _POOL_START_S:
+                yield from _pool_results(run_case, chain((case,), cases),
+                                         workers)
+                return
+        yield run_case(case)
+
+
+def _pool_results(run_case, cases, workers: int):
+    # the cases go to the pool _POOL_BATCH at a time, so that neither they
+    # nor their futures are ever all held; the first batch caps the workers
+    batch = list(islice(cases, _POOL_BATCH))
+    workers = min(workers, len(batch))
+    if workers < 2:
+        yield from map(run_case, batch)
+        return
+    # imported here: the pool machinery costs start-up time and memory that
+    # every other use of the package would pay for nothing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while batch:
+            # four chunks per worker even out a few costly cases; at most 64
+            # cases per chunk, as later cases of a grid cost more and the
+            # last chunk must not leave the other workers idle for long
+            chunksize = min(64, -(-len(batch) // (4 * workers)))
+            yield from pool.map(run_case, batch, chunksize=chunksize)
+            batch = list(islice(cases, _POOL_BATCH))
 
 
 def _check_orderly(rng: Random,

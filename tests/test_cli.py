@@ -1,4 +1,5 @@
 """CLI contract tests: output formats, exit codes, record round-trips."""
+import argparse
 import contextlib
 import csv
 import io
@@ -263,6 +264,87 @@ class TestUsageErrors:
                   "json"], ["genus", "--a", "x"], ["report", "--a", "5"]]
         first = [run_cli(capsys, *argv) for argv in argvs]
         assert [run_cli(capsys, *argv) for argv in argvs] == first
+
+
+_COMMAND_NAMES = ("frobenius", "genus", "apery", "pf", "gaps", "report",
+                  "family", "orderly", "verify")
+
+
+def _outcome(capsys, argv):
+    # main's exit code, or the code of the SystemExit that help raises,
+    # and what it printed
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    """main declares the options of the command it runs only, and prints
+    and returns what the parser of every command's options gives."""
+
+    def test_declares_only_the_commands_options(self, capsys, monkeypatch):
+        declared = []
+        real = argparse.ArgumentParser.add_argument
+
+        def recording(self, *args, **kwargs):
+            declared.append((self.prog, args))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            recording)
+        code, out, _ = run_cli(capsys, "orderly", "--coins", "1,3,4")
+        assert (code, out) == (EXIT_OK, "non-orderly\n6\n")
+        # each of the ten parsers' own -h aside
+        assert [d for d in declared if d[1][0] != "-h"] == [
+            ("apery orderly", ("--coins",)), ("apery orderly", ("--format",))]
+        assert len(declared) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h", "frobenius"], ["nonsense"], [],
+        ["report", "--bogus"], ["orderly"], ["verify", "--jobs", "x"],
+        ["family"],
+        *([name, "--help"] for name in _COMMAND_NAMES)])
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch,
+                                             argv):
+        ours = _outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert _outcome(capsys, argv) == ours
+
+    @pytest.mark.parametrize("argv, expected", [
+        *(([name, "--gens", "5,7", "--a", "1", "--b", "2", "--d", "3",
+            "--k", "4", "--engine", "oracle", "--format", "csv"],
+           {"command": name, "gens": "5,7", "a": 1, "b": 2, "d": 3, "k": 4,
+            "engine": "oracle", "format": "csv"})
+          for name in _COMMAND_NAMES[:6]),
+        (["family", "thabit",
+          *(arg for key in cli._FAMILY_KEYS for arg in (f"--{key}", "2")),
+          "--n-range", "2..3", "--engine", "oracle", "--format", "json"],
+         {"command": "family", "name": "thabit",
+          **dict.fromkeys(cli._FAMILY_KEYS, 2), "n_range": "2..3",
+          "engine": "oracle", "format": "json"}),
+        (["orderly", "--coins", "1,3", "--format", "json"],
+         {"command": "orderly", "coins": "1,3", "format": "json"}),
+        (["verify", "--seed", "1", "--jobs", "2", "--budget", "3",
+          "--a-max", "5", "--b-max", "3", "--d-max", "2", "--k-max", "2",
+          "--check-pf", "--check-monotone", "--inject-mismatch",
+          "--format", "csv"],
+         {"command": "verify", "seed": 1, "jobs": 2, "budget": 3,
+          "a_max": 5, "b_max": 3, "d_max": 2, "k_max": 2, "check_pf": True,
+          "check_monotone": True, "inject_mismatch": True, "format": "csv"}),
+    ])
+    def test_full_parser_takes_every_option(self, argv, expected):
+        assert vars(cli.build_parser().parse_args(argv)) == expected
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == expected
+
+    def test_reads_sys_argv_without_an_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["apery", "orderly", "--coins",
+                                          "1,5,10,25"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == "orderly\n"
 
 
 # each source of integer text, as the environment and argv that carry text

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -326,10 +327,51 @@ class TestCrossCheck:
         # past the 12.5 ms warm-up the rest never looks like 100 ms
         assert cross_check(short, jobs=2).cases_run == 52
         assert pools == []
-        # before case 13, 13 ms have passed and the other 756 cases look
-        # like 819 ms, so those go to two workers
+        # before case 13, 13 ms have passed and the other 1108 points with
+        # a <= 15 look like 1.2 s, so the 756 cases left go to two workers
         assert cross_check(GridSpec(a_range=(2, 15)), jobs=2).ok
         assert pools == [(2, 64, 756)]
+
+    def test_pool_is_fed_in_bounded_batches(self, pools, monkeypatch):
+        monkeypatch.setattr(verify, "_POOL_START_S", 0)
+        monkeypatch.setattr(verify, "_POOL_BATCH", 300)
+        grid = GridSpec(a_range=(2, 15))
+        for inject in (False, True):
+            serial = cross_check(grid, jobs=1, inject_mismatch=inject)
+            pooled = cross_check(grid, jobs=2, inject_mismatch=inject)
+            assert (pooled.cases_run, pooled.cases_passed, pooled.skipped,
+                    pooled.mismatches) == (serial.cases_run,
+                                           serial.cases_passed,
+                                           serial.skipped, serial.mismatches)
+        # all 768 cases, 300 at a time, in four chunks per worker each time
+        assert pools == [(2, 38, 300), (2, 38, 300), (2, 21, 168)] * 2
+
+    def test_sweep_holds_no_list_of_its_cases(self, monkeypatch):
+        # a million-value d range, stopped after its first 1000 cases: the
+        # sweep keeps its counts and mismatches, not its cases or results
+        class Stop(Exception):
+            pass
+
+        calls = itertools.count(1)
+        real = verify.run_single
+
+        def stopping(*args, **kwargs):
+            if next(calls) > 1000:
+                raise Stop
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_single", stopping)
+        grid = GridSpec(a_range=(2, 3), b_range=(2, 2), k_range=(1, 1),
+                        d_range=(1, 10**6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                cross_check(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert next(calls) == 1002
+        assert peak < 5 * 10**6
 
     def test_short_sweep_does_not_load_process_pool(self):
         result = subprocess.run(
