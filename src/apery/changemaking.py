@@ -147,7 +147,10 @@ def _repunit_greedy_sum(b: int, k: int, x: int) -> int:
     bits, the greedy first takes x // R_k copies of R_k.  Then c is the
     bit length of popcount(x) and g the lowest 0 bit of x at or above
     position c, possibly above the top bit; each 1 bit above g is one
-    coin, t in all, and the walk goes on with (x mod 2^(g+1)) + t.
+    coin, t in all, and the walk goes on with (x mod 2^(g+1)) + t.  When
+    that leaves j > c + 16 bits, which takes a long run of 1 bits below g
+    or a carry into g, x = 2^j - u takes m = min(u - 1, j - e) coins in
+    one step (closed_forms, step 8) and the walk starts below them.
     """
     n = 0
     if b == 2:
@@ -159,6 +162,18 @@ def _repunit_greedy_sum(b: int, k: int, x: int) -> int:
         t = (x >> g1).bit_count()
         n += t
         x = (x & ((1 << g1) - 1)) + t
+        j = x.bit_length()
+        if j - c > 16:
+            u = (1 << j) - x
+            v = u - j + 1
+            # e, the least E >= 1 with 2^E + 1 - E >= v, is bitlen(v) - 1,
+            # bitlen(v) or bitlen(v) + 1 when v > 2
+            e = 1 if v <= 2 else v.bit_length() - 1
+            while (1 << e) + 1 - e < v:
+                e += 1
+            m = min(u - 1, j - e)
+            n += m
+            x = (1 << (j - m)) - (u - m)
     return n + _greedy_prefix(_repunit_walk(b, k, x + 1), x)
 
 

@@ -404,15 +404,19 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, with the options of `command` only,
     or of all of them when it is None.  The other subcommands keep their
-    help line, so the top-level help and usage do not depend on it."""
+    help line, so the top-level help and usage do not depend on it, but
+    not their own -h when `command` names a subcommand: they never parse."""
     parser = argparse.ArgumentParser(
         prog="apery",
         description="Numerical semigroup calculator: Frobenius numbers, "
                     "genus, Apery sets, pseudo-Frobenius sets, named "
                     "families, and closed-form vs oracle verification.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    # prog given, as argparse would otherwise format a usage line to find it
+    subs = parser.add_subparsers(dest="command", required=True, prog="apery")
+    known = command in _COMMANDS
     for name, (help_text, add_options, _) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text,
+                              add_help=not known or name == command)
         if command in (None, name):
             add_options(sub)
     return parser

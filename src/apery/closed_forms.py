@@ -46,7 +46,24 @@ formulas with no search, for every a >= 2 and k >= 1:
    with (x mod 2^(g+1)) + t_g, which is below R_(g+1).  With g the lowest
    such 0 bit, F of the named base-2 families walks a few dozen repunits
    where step 6's walk took one per bit of a-1; a run of 1 bits from c
-   up to far above it still takes one step per bit.
+   up to far above it is step 8's.
+8. For b = 2 the greedy also crosses a run of 1 bits in one step.  Let
+   the remainder be x = 2^j - u with 1 < u <= 2^(j-1) + 1.  Then R_(j-1)
+   <= x < R_j, so the greedy takes R_(j-1) and leaves 2^(j-1) - (u-1):
+   the same shape with j and u one less each.  So its (i+1)-th coin is
+   R_E, E = j-1-i, while u - i > 1 and u - i <= 2^E + 1, that is while
+   E >= 1 and u - j + 1 + E <= 2^E + 1.  2^E - E does not decrease with
+   E, so the last condition holds exactly for E >= e, the least E >= 1
+   with 2^E + 1 >= u - j + 1 + E.  Hence the greedy takes m =
+   min(u-1, j-e) coins R_(j-1), ..., R_(j-m) in a row and leaves
+   2^(j-m) - (u-m): either R_(j-m), one coin, or a remainder below 2^e,
+   where e = 1 if u <= j + 1 and e <= bitlen(u-j+1) + 1 otherwise.
+   After step 7 with j bits left, j far above c, the bits c..g-1 are a
+   run of 1 bits.  If the remainder is below 2^g, then j = g and
+   u <= 2^c, so the walk goes on over about c bits.  Otherwise t carried
+   into bit g: x = 2^g + s with s < 2^c, e = g, and the step takes R_g
+   and leaves s + 1.  Either way F of a base-2 member walks O(c)
+   repunits however long its runs.
 
 The genus follows from the Apery set by Selmer's formula and PF by the
 successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and

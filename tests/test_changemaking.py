@@ -245,6 +245,30 @@ class TestRepunitGreedySum:
                     if bits <= 200:
                         assert s == digit_sum(2, k, x), (x, k)
 
+    def test_run_jump_equals_the_walk(self):
+        # closed_forms step 8: amounts whose remainder after the popcount
+        # step is a long run of 1 bits, or carries into the guard bit
+        rng = random.Random(24)
+        count = 0
+        for _ in range(8000):
+            bits = rng.randint(20, 120)
+            low = rng.randint(0, 12)
+            run = ((1 << bits) - 1) >> low << low
+            guard = rng.randint(18, 118)
+            above = rng.getrandbits(119 - guard) << (guard + 1)
+            for x in (rng.getrandbits(bits),
+                      (1 << bits) - rng.randint(1, 3 * bits),
+                      run | rng.getrandbits(low),
+                      # bits below the guard all 1 but a few at the bottom,
+                      # so the 1 bits above it carry into it
+                      above | (1 << guard) - 1 - rng.randint(0, 3)):
+                k = rng.choice((rng.randint(1, 120), x.bit_length(),
+                                x.bit_length() + 1))
+                assert _repunit_greedy_sum(2, k, x) == self.walked(2, k, x), \
+                    (x, k)
+                count += 1
+        assert count >= 30000
+
     def test_around_each_base_two_repunit(self):
         for j in range(1, 400):
             r_j = 2**j - 1

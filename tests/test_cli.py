@@ -281,6 +281,14 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _helped(parser: argparse.ArgumentParser) -> list[str]:
+    # the prog of each parser, the top-level one and its subparsers, that
+    # has its own -h
+    subs = parser._subparsers._group_actions[0].choices.values()
+    return [p.prog for p in (parser, *subs)
+            if any("-h" in a.option_strings for a in p._actions)]
+
+
 class TestParserPerCommand:
     """main declares the options of the command it runs only, and prints
     and returns what the parser of every command's options gives."""
@@ -297,15 +305,27 @@ class TestParserPerCommand:
                             recording)
         code, out, _ = run_cli(capsys, "orderly", "--coins", "1,3,4")
         assert (code, out) == (EXIT_OK, "non-orderly\n6\n")
-        # each of the ten parsers' own -h aside
-        assert [d for d in declared if d[1][0] != "-h"] == [
+        # the -h of the parsers that parse, and orderly's own options
+        assert declared == [
+            ("apery", ("-h", "--help")), ("apery orderly", ("-h", "--help")),
             ("apery orderly", ("--coins",)), ("apery orderly", ("--format",))]
-        assert len(declared) == 12
+
+    def test_help_only_on_the_parsers_that_parse(self):
+        assert _helped(cli.build_parser("genus")) == ["apery", "apery genus"]
+        assert _helped(cli.build_parser()) == [
+            "apery", *(f"apery {name}" for name in _COMMAND_NAMES)]
+        # a name that is no command parses nowhere; every -h stays
+        assert _helped(cli.build_parser("bogus")) == \
+            _helped(cli.build_parser())
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h", "frobenius"], ["nonsense"], [],
         ["report", "--bogus"], ["orderly"], ["verify", "--jobs", "x"],
         ["family"],
+        # an unknown option after a whole command prints the top-level usage
+        ["frobenius", "--a", "7", "--b", "2", "--d", "1", "--k", "2",
+         "--bogus"],
+        ["--bogus", "frobenius"], ["frobenius", "-h", "--a", "7"],
         *([name, "--help"] for name in _COMMAND_NAMES)])
     def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch,
                                              argv):

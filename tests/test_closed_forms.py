@@ -43,6 +43,7 @@ from apery import (
 from apery import changemaking, closed_forms
 from apery.closed_forms import evaluate
 
+import family_ref
 import oracle_ref
 
 
@@ -554,6 +555,17 @@ class TestHugeFamilyMembers:
         w = residue_minimum(p, p.a - 1)
         assert time.perf_counter() - started < 0.05
         assert w == evaluate(p, "closed").frobenius + p.a
+
+    def test_frobenius_of_a_run_of_ones_to_the_top(self):
+        # a - 1 = 2^65552 - 2^16 - 2 for gu_ze_tang(16, 65536): its 65535
+        # high 1 bits run up to the top, with no 0 bit above them for the
+        # popcount step; step 8 crosses them in one step, and a walk of one
+        # repunit per bit would take over a second
+        p = gu_ze_tang(16, 65536)
+        started = time.perf_counter()
+        f = frobenius_closed(p)
+        assert time.perf_counter() - started < 0.1
+        assert f == family_ref.gu_ze_tang_frobenius(16, 65536)
 
     def test_digit_sum_of_a_minus_one(self):
         # a - 1 is R_(n+1) + R_n for thabit and 2*R_(n-1) for mersenne;
