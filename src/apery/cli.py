@@ -402,23 +402,24 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the options of `command` only,
-    or of all of them when it is None.  The other subcommands keep their
-    help line, so the top-level help and usage do not depend on it, but
-    not their own -h when `command` names a subcommand: they never parse."""
+    """The parser of `command` alone when it names a subcommand, else of all
+    nine with every option.  The top-level usage line lists all nine either
+    way, so it does not depend on `command`."""
     parser = argparse.ArgumentParser(
         prog="apery",
         description="Numerical semigroup calculator: Frobenius numbers, "
                     "genus, Apery sets, pseudo-Frobenius sets, named "
                     "families, and closed-form vs oracle verification.")
-    # prog given, as argparse would otherwise format a usage line to find it
-    subs = parser.add_subparsers(dest="command", required=True, prog="apery")
     known = command in _COMMANDS
-    for name, (help_text, add_options, _) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text,
-                              add_help=not known or name == command)
-        if command in (None, name):
-            add_options(sub)
+    # prog given, as argparse would otherwise format a usage line to find
+    # it; a metavar for one subparser alone, as the full parser's messages
+    # name the argument "command"
+    subs = parser.add_subparsers(
+        dest="command", required=True, prog="apery",
+        metavar="{" + ",".join(_COMMANDS) + "}" if known else None)
+    for name in [command] if known else _COMMANDS:
+        help_text, add_options, _ = _COMMANDS[name]
+        add_options(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -426,9 +427,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser has no option that takes a value, so the first
-    # token that is not an option names the command (or is an invalid one)
-    command = next((t for t in argv if not t.startswith("-")), None)
+    # a command in first place is the one that parses; any other argv gets
+    # the full parser, the only one that prints the command list or refuses
+    # a command name
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
     except SystemExit as err:

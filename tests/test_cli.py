@@ -5,12 +5,14 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from apery import InvalidParamsError, cli, core, frobenius_closed, \
     genus_closed, mersenne, report_closed, repunit_general_frobenius, \
@@ -270,28 +272,73 @@ _COMMAND_NAMES = ("frobenius", "genus", "apery", "pf", "gaps", "report",
                   "family", "orderly", "verify")
 
 
-def _outcome(capsys, argv):
+def _outcome(argv):
     # main's exit code, or the code of the SystemExit that help raises,
-    # and what it printed
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    # and what it printed, with a verify run's time left out
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return (code, re.sub(r'"elapsed_seconds": [^,}]*', "", out.getvalue()),
+            err.getvalue())
+
+
+def _full_outcome(argv):
+    # the outcome when every call builds the full parser
+    full = cli.build_parser
+    with mock.patch.object(cli, "build_parser", lambda command=None: full()):
+        return _outcome(argv)
+
+
+def _subparsers(parser: argparse.ArgumentParser):
+    return parser._subparsers._group_actions[0].choices.values()
 
 
 def _helped(parser: argparse.ArgumentParser) -> list[str]:
     # the prog of each parser, the top-level one and its subparsers, that
     # has its own -h
-    subs = parser._subparsers._group_actions[0].choices.values()
-    return [p.prog for p in (parser, *subs)
+    return [p.prog for p in (parser, *_subparsers(parser))
             if any("-h" in a.option_strings for a in p._actions)]
 
 
+def _parsers_built(monkeypatch, argv) -> tuple[int, tuple]:
+    # how many ArgumentParser objects one main call constructs, and its
+    # outcome
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    outcome = _outcome(argv)
+    return len(built), outcome
+
+
+# a small call that exits 0, per command
+_SMALL_CALLS = {
+    **{name: [name, "--a", "11", "--b", "3", "--d", "2", "--k", "3"]
+       for name in _COMMAND_NAMES[:6]},
+    "family": ["family", "mersenne", "--n", "3"],
+    "orderly": ["orderly", "--coins", "1,3,4"],
+    "verify": ["verify", "--a-max", "3", "--b-max", "2", "--d-max", "1",
+               "--k-max", "1", "--budget", "1"],
+}
+
+# argv tokens: the command names, every option string, and a few others
+_VOCABULARY = sorted(
+    {*_COMMAND_NAMES, "--", "bogus", "3", "5,7", "1,3,4", "2..4", "x",
+     "oracle", "json", "csv", "mersenne", "list",
+     *(s for sub in _subparsers(cli.build_parser()) for action in sub._actions
+       for s in action.option_strings)})
+
+
 class TestParserPerCommand:
-    """main declares the options of the command it runs only, and prints
-    and returns what the parser of every command's options gives."""
+    """main builds the parser of the command it runs only, and prints
+    and returns what the full parser gives."""
 
     def test_declares_only_the_commands_options(self, capsys, monkeypatch):
         declared = []
@@ -326,13 +373,37 @@ class TestParserPerCommand:
         ["frobenius", "--a", "7", "--b", "2", "--d", "1", "--k", "2",
          "--bogus"],
         ["--bogus", "frobenius"], ["frobenius", "-h", "--a", "7"],
-        *([name, "--help"] for name in _COMMAND_NAMES)])
-    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch,
-                                             argv):
-        ours = _outcome(capsys, argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert _outcome(capsys, argv) == ours
+        *([name, "--help"] for name in _COMMAND_NAMES),
+        ["frobenius", "frobenius"], ["--", "frobenius"], ["FROBENIUS"],
+        ["frob"],
+        ["frobenius", "--a", "7", "--b", "2", "--d", "1", "--k", "2", "--",
+         "x"],
+        ["family", "mersenne", "--n-range", "2..4", "--n", "3"]])
+    def test_same_outcome_as_the_full_parser(self, argv):
+        assert _outcome(argv) == _full_outcome(argv)
+
+    @seed(25)
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(lambda head, rest: head + rest,
+                     st.lists(st.sampled_from(_COMMAND_NAMES), max_size=1),
+                     st.lists(st.sampled_from(_VOCABULARY), max_size=6)))
+    def test_same_outcome_as_the_full_parser_on_any_argv(self, argv):
+        assert _outcome(argv) == _full_outcome(argv)
+
+    @pytest.mark.parametrize("name", _COMMAND_NAMES)
+    def test_two_parsers_for_a_command_first(self, monkeypatch, name):
+        built, (code, _, err) = _parsers_built(monkeypatch,
+                                               _SMALL_CALLS[name])
+        assert (built, code, err) == (2, EXIT_OK, "")
+
+    @pytest.mark.parametrize("argv", [["-h", "frobenius"], ["bogus"], []])
+    def test_full_parser_for_anything_else(self, monkeypatch, argv):
+        assert _parsers_built(monkeypatch, argv)[0] == 10
+
+    @pytest.mark.parametrize("name", _COMMAND_NAMES)
+    def test_usage_line_does_not_depend_on_the_command(self, name):
+        assert cli.build_parser(name).format_usage() == \
+            cli.build_parser().format_usage()
 
     @pytest.mark.parametrize("argv, expected", [
         *(([name, "--gens", "5,7", "--a", "1", "--b", "2", "--d", "3",
