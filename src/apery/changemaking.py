@@ -7,29 +7,27 @@ together with their colexicographic order and weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _shown, check_cap, check_int
+from .core import _Frozen, _shown, check_cap, check_int
 from .errors import InvalidParamsError
 
 
-@dataclass(frozen=True)
-class CoinSystem:
+class CoinSystem(_Frozen):
     """Strictly increasing denominations starting with the unit coin.
 
     Input is canonicalized (sorted, deduplicated) and must hold ints only;
     every amount is then representable because 1 is required to be present.
     """
 
-    denominations: tuple[int, ...]
+    _fields = ("denominations",)
 
     def __init__(self, denominations: Iterable[int]):
         denoms = tuple(sorted({check_int(c, "coin", 1) for c in denominations}))
         if not denoms or denoms[0] != 1:
             raise InvalidParamsError("coin system must contain the unit coin 1")
-        object.__setattr__(self, "denominations", denoms)
+        vars(self).update(denominations=denoms)
 
     def __iter__(self):
         return iter(self.denominations)
@@ -214,8 +212,7 @@ def is_orderly(coins) -> Orderliness:
     return Orderliness(found is None, found)
 
 
-@dataclass(frozen=True)
-class GreedyPresentation:
+class GreedyPresentation(_Frozen):
     """Digit vector of the greedy representation of an amount over repunit coins.
 
     Digits are little-endian: digits[i-1] multiplies R_i = (b^i - 1)/(b - 1).
@@ -231,20 +228,18 @@ class GreedyPresentation:
     nothing below anyway).
     """
 
-    b: int
-    k: int
-    digits: tuple[int, ...]
+    _fields = ("b", "k", "digits")
 
-    def __post_init__(self):
-        b = check_int(self.b, "base", 2)
-        k = check_int(self.k, "length", 1)
-        digits = tuple(self.digits)
+    def __init__(self, b: int, k: int, digits: Sequence[int]):
+        check_int(b, "base", 2)
+        check_int(k, "length", 1)
+        digits = tuple(digits)
         # each rule is one pass in C over the digits, so a long run of zero
         # digits costs no Python step per digit; a digit that is not an
         # exact int goes through check_int, which names it
         if not set(map(type, digits)) <= {int}:
             digits = tuple(check_int(x, "digit", 0) for x in digits)
-        object.__setattr__(self, "digits", digits)
+        vars(self).update(b=b, k=k, digits=digits)
         if len(digits) != k:
             raise InvalidParamsError(
                 f"expected {_shown(k)} digits, got {len(digits)}")

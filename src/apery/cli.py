@@ -8,13 +8,10 @@ parsers that use fixed-width integers stay correct.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .changemaking import CoinSystem, is_orderly
 from .closed_forms import FamilyParams, _param_items, evaluate
@@ -22,7 +19,6 @@ from .core import Evaluation, GeneratorList, SemigroupReport, _shown, \
     check_cap, check_int, parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
 from .families import FamilySpec, catalog, resolve
-from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -34,21 +30,20 @@ _INT64_MAX = 2**63 - 1
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
 class OutputRecord(SemigroupReport):
     """One invocation's result: a report plus the input echo and, when the
     command prints them, the Apery set and the gaps."""
 
-    input: dict
-    apery: tuple[int, ...] | None = None
-    gaps: tuple[int, ...] | None = None
+    _fields = SemigroupReport._fields + ("input", "apery", "gaps")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.apery is not None:
-            object.__setattr__(self, "apery", tuple(self.apery))
-        if self.gaps is not None:
-            object.__setattr__(self, "gaps", tuple(self.gaps))
+    def __init__(self, frobenius: int, genus: int, pf: tuple[int, ...],
+                 type: int, engine: str, input: dict,
+                 apery: tuple[int, ...] | None = None,
+                 gaps: tuple[int, ...] | None = None):
+        super().__init__(frobenius, genus, pf, type, engine)
+        vars(self).update(input=input,
+                          apery=None if apery is None else tuple(apery),
+                          gaps=None if gaps is None else tuple(gaps))
 
     def to_dict(self) -> dict:
         # in JSON key order; apery and gaps only when the command prints them
@@ -98,6 +93,7 @@ def _any_digits():
 
 @_any_digits()
 def parse_record(text: str) -> OutputRecord:
+    import json
     return OutputRecord(**_decode(json.loads(text)))
 
 
@@ -108,8 +104,10 @@ def _emit(fmt: str, payload, header, rows, lines) -> None:
     # value first, so a request that fails writes nothing to stdout
     try:
         if fmt == "json":
+            import json
             print(json.dumps(_encode(payload)))
         elif fmt == "csv":
+            import csv
             writer = csv.writer(sys.stdout)
             writer.writerow(header)
             writer.writerows(rows)
@@ -317,8 +315,13 @@ def _summary_line(label: str, report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    ranges = {f"{key}_range": (getattr(DEFAULT_GRID, f"{key}_range")[0],
-                               getattr(args, f"{key}_max")) for key in "abdk"}
+    # imported here, as the other commands never read it
+    from .verify import DEFAULT_GRID, GridSpec, cross_check, property_suite
+    ranges = {}
+    for key in "abdk":
+        low, high = getattr(DEFAULT_GRID, f"{key}_range")
+        given = getattr(args, f"{key}_max")
+        ranges[f"{key}_range"] = (low, high if given is None else given)
     grid = GridSpec(**ranges, check_pf=args.check_pf,
                     check_monotone=args.check_monotone)
     grid_report = cross_check(grid, jobs=args.jobs,
@@ -372,8 +375,8 @@ def _verify_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=_flag_int, default=30,
                      help="property suite case count")
     for key in "abdk":
-        sub.add_argument(f"--{key}-max", type=_flag_int,
-                         default=getattr(DEFAULT_GRID, f"{key}_range")[1])
+        # default None, as the grid's default is read only when verify runs
+        sub.add_argument(f"--{key}-max", type=_flag_int)
     sub.add_argument("--check-pf", action="store_true")
     sub.add_argument("--check-monotone", action="store_true")
     sub.add_argument("--inject-mismatch", action="store_true",

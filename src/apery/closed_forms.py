@@ -72,15 +72,14 @@ set; Mersenne, Thabit and repunit semigroups are instances.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
 from math import gcd
 
 from .changemaking import _greedy_prefix, _repunit_greedy_sum, \
     _repunit_walk, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
-    OracleEvaluation, SemigroupReport, _cached, _shown, check_cap, \
-    check_int, pseudo_frobenius_from_apery
+    OracleEvaluation, SemigroupReport, _Frozen, _cached, _shown, \
+    check_cap, check_int, pseudo_frobenius_from_apery
 from .errors import ConsistencyError, InvalidParamsError
 
 
@@ -88,16 +87,13 @@ from .errors import ConsistencyError, InvalidParamsError
 _FLOORS = {"a": 2, "b": 2, "d": 1, "k": 1}
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Frozen):
     """Parameters (a, b, d, k) of the generator family; gcd(a, d) = 1."""
 
-    a: int
-    b: int
-    d: int
-    k: int
+    _fields = ("a", "b", "d", "k")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, d: int, k: int):
+        vars(self).update(a=a, b=b, d=d, k=k)
         for name, low in _FLOORS.items():
             check_int(getattr(self, name), name, low)
         if gcd(self.a, self.d) != 1:

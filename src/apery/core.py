@@ -12,12 +12,14 @@ All arithmetic is exact arbitrary-precision integer arithmetic.  The number
 of residue classes a must fit in memory as a list index; a cap (default
 10**7, set by the SEMIGROUP_ORACLE_CAP environment variable) turns oversized
 requests into an OracleInfeasibleError instead of an out-of-memory crash.
+
+The package's record types all derive from _Frozen, a small immutable base
+with the value semantics of a frozen dataclass but not its import cost.
 """
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -86,15 +88,47 @@ def check_int(value, what: str, low: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GeneratorList:
+class _Frozen:
+    """Base of the record types, whose __init__ sets the fields in _fields
+    once, by vars(self).update(...).  The first _compared (all if None) give
+    the hash and equality with exactly the same class; all show in repr."""
+
+    _fields: tuple[str, ...] = ()
+    _compared: int | None = None
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).get, self._fields[:self._compared]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={vars(self)[name]!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GeneratorList(_Frozen):
     """Canonicalized system of semigroup generators (sorted, deduplicated, gcd 1).
 
     Accepts any iterable of positive ints, bools excluded; 1 is allowed and
     yields the full semigroup N (Frobenius number -1 by convention).
     """
 
-    elements: tuple[int, ...]
+    _fields = ("elements",)
 
     def __init__(self, elements: Iterable[int]):
         elems = tuple(sorted({check_int(e, "generator", 1) for e in elements}))
@@ -105,7 +139,7 @@ class GeneratorList:
             raise InvalidParamsError(
                 f"gcd of generators is {_shown(g)}, not 1: "
                 "not a numerical semigroup")
-        object.__setattr__(self, "elements", elems)
+        vars(self).update(elements=elems)
 
     @property
     def least(self) -> int:
@@ -137,8 +171,7 @@ def _successor_steps(generators: Iterable[int], a: int) -> tuple[int, ...]:
     return tuple(sorted(smallest.values()))
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(_Frozen):
     """Apery set of the least generator: minima[r] is the least element = r mod a.
 
     generators is a generating set of the same semigroup, used by
@@ -154,52 +187,49 @@ class AperySet:
     entry is the oracle's job and is covered by the test suite.
     """
 
-    modulus: int
-    minima: tuple[int, ...]
-    generators: tuple[int, ...] = field(default=(), compare=False)
+    _fields = ("modulus", "minima", "generators")
+    _compared = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "minima", tuple(self.minima))
-        if self.modulus < 1:
+    def __init__(self, modulus: int, minima: Sequence[int],
+                 generators: Sequence[int] = ()):
+        minima = tuple(minima)
+        if modulus < 1:
             raise InvalidParamsError("modulus must be >= 1")
-        if len(self.minima) != self.modulus:
+        if len(minima) != modulus:
             raise InvalidParamsError(
-                f"expected {self.modulus} minima, got {len(self.minima)}")
-        if self.minima[0] != 0:
+                f"expected {modulus} minima, got {len(minima)}")
+        if minima[0] != 0:
             raise ConsistencyError("minima[0] must be 0")
-        for r, n in enumerate(self.minima):
-            if n < 0 or n % self.modulus != r:
+        for r, n in enumerate(minima):
+            if n < 0 or n % modulus != r:
                 raise ConsistencyError(
-                    f"minima[{r}] = {n} is not congruent to {r} mod {self.modulus}")
-        gens = tuple(self.generators) or self.minima[1:]
+                    f"minima[{r}] = {n} is not congruent to {r} mod {modulus}")
+        gens = tuple(generators) or minima[1:]
         for g in gens:
-            if g < 1 or g < self.minima[g % self.modulus]:
+            if g < 1 or g < minima[g % modulus]:
                 raise ConsistencyError(
                     f"generator {g} is not a positive element of the semigroup")
-        object.__setattr__(self, "generators", gens)
+        vars(self).update(modulus=modulus, minima=minima, generators=gens)
 
 
-@dataclass(frozen=True)
-class SemigroupReport:
+class SemigroupReport(_Frozen):
     """Frobenius number, genus, pseudo-Frobenius set and type, plus provenance."""
 
-    frobenius: int
-    genus: int
-    pf: tuple[int, ...]
-    type: int
-    engine: str
+    _fields = ("frobenius", "genus", "pf", "type", "engine")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pf", tuple(self.pf))
-        if not self.pf:
+    def __init__(self, frobenius: int, genus: int, pf: Sequence[int],
+                 type: int, engine: str):
+        pf = tuple(pf)
+        if not pf:
             raise ConsistencyError("pseudo-Frobenius set is never empty")
-        if self.frobenius != max(self.pf):
-            raise ConsistencyError(
-                f"frobenius {self.frobenius} != max(pf) {max(self.pf)}")
-        if self.type != len(self.pf):
-            raise ConsistencyError(f"type {self.type} != |pf| {len(self.pf)}")
-        if self.engine not in (ENGINE_ORACLE, ENGINE_CLOSED):
-            raise InvalidParamsError(f"unknown engine tag {self.engine!r}")
+        if frobenius != max(pf):
+            raise ConsistencyError(f"frobenius {frobenius} != max(pf) {max(pf)}")
+        if type != len(pf):
+            raise ConsistencyError(f"type {type} != |pf| {len(pf)}")
+        if engine not in (ENGINE_ORACLE, ENGINE_CLOSED):
+            raise InvalidParamsError(f"unknown engine tag {engine!r}")
+        vars(self).update(frobenius=frobenius, genus=genus, pf=pf, type=type,
+                          engine=engine)
 
 
 def apery_set(gens) -> AperySet:

@@ -7,11 +7,10 @@ applies to Mersenne, Thabit, repunit and the rest by name.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .closed_forms import FamilyParams, repunit_params, repunit_value
-from .core import _shown, check_int
+from .core import _Frozen, _shown, check_int
 from .errors import InvalidParamsError
 
 
@@ -153,18 +152,16 @@ def _check_bounds(family: str, **values: int) -> None:
         check_int(values[name], f"{family} {name}", param["min"])
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """A family name plus its free parameters, ready to resolve."""
 
-    name: str
-    params: Mapping[str, int] = field(default_factory=dict)
+    _fields = ("name", "params")
 
-    def __post_init__(self):
-        if self.name not in _RESOLVERS:
+    def __init__(self, name: str, params: Mapping[str, int] = ()):
+        if name not in _RESOLVERS:
             raise InvalidParamsError(
-                f"unknown family {self.name!r}; known: {', '.join(FAMILY_NAMES)}")
-        object.__setattr__(self, "params", dict(self.params))
+                f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+        vars(self).update(name=name, params=dict(params))
         entry = _ENTRIES[self.name]
         allowed = {p["name"] for p in entry["params"]}
         required = {p["name"] for p in entry["params"] if "default" not in p}

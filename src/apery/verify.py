@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice
 from math import gcd
@@ -21,7 +20,7 @@ from random import Random
 from .changemaking import _opt_counts_upto, _repunit_walk, colex_compare, \
     greedy_count, greedy_presentation, is_orderly, repunit_coins, weight
 from .closed_forms import _FLOORS, FamilyParams, _param_items, evaluate
-from .core import check_int, residue_cap
+from .core import _Frozen, check_int, residue_cap
 from .errors import ConsistencyError
 
 # The monotonicity check compares each class's candidates at m = 0..5.
@@ -39,48 +38,47 @@ SKIP_GCD = "gcd"
 SKIP_INFEASIBLE = "oracle-infeasible"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Inclusive parameter ranges and per-case toggles for cross_check."""
 
-    a_range: tuple[int, int] = (2, 60)
-    b_range: tuple[int, int] = (2, 5)
-    d_range: tuple[int, int] = (1, 5)
-    k_range: tuple[int, int] = (1, 4)
-    check_pf: bool = False
-    check_monotone: bool = False
+    _fields = ("a_range", "b_range", "d_range", "k_range", "check_pf",
+               "check_monotone")
 
-    def __post_init__(self):
+    def __init__(self, a_range=(2, 60), b_range=(2, 5), d_range=(1, 5),
+                 k_range=(1, 4), check_pf=False, check_monotone=False):
+        vars(self).update(a_range=a_range, b_range=b_range, d_range=d_range,
+                          k_range=k_range, check_pf=check_pf,
+                          check_monotone=check_monotone)
         for name, floor in _FLOORS.items():
             lo, hi = getattr(self, f"{name}_range")
             check_int(lo, f"{name} range start", floor)
             check_int(hi, f"{name} range end", lo)
 
 
-# read by cross_check, the CLI's verify flags and _check_monotone_sampled
+# read by cross_check, the CLI's verify command and _check_monotone_sampled
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Frozen):
     """One disagreement: which case, which quantity, both values.
 
     params identifies the case; coordinates inside a case (a class index, an
     amount) are part of the quantity label so one case has one params key.
     """
 
-    params: tuple[tuple[str, int], ...]
-    quantity: str
-    closed_value: object
-    oracle_value: object
+    _fields = ("params", "quantity", "closed_value", "oracle_value")
+
+    def __init__(self, params: tuple[tuple[str, int], ...], quantity: str,
+                 closed_value, oracle_value):
+        vars(self).update(params=params, quantity=quantity,
+                          closed_value=closed_value, oracle_value=oracle_value)
 
     def to_dict(self) -> dict:
         return {"params": dict(self.params), "quantity": self.quantity,
                 "closed": self.closed_value, "oracle": self.oracle_value}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Frozen):
     """Outcome of a sweep; any mismatch fails the run.
 
     divergences is always empty: the closed forms hold on every grid point,
@@ -88,22 +86,22 @@ class VerifyReport:
     the report and its serializations for callers that read it.
     """
 
-    cases_run: int
-    cases_passed: int
-    skipped: tuple[tuple[str, int], ...]
-    mismatches: tuple[Mismatch, ...]
-    divergences: tuple[Mismatch, ...]
-    elapsed_seconds: float
+    _fields = ("cases_run", "cases_passed", "skipped", "mismatches",
+               "divergences", "elapsed_seconds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mismatches", tuple(self.mismatches))
-        object.__setattr__(self, "divergences", tuple(self.divergences))
-        object.__setattr__(self, "skipped", tuple(self.skipped))
-        affected = len({m.params for m in self.mismatches})
-        if self.cases_passed + affected != self.cases_run:
+    def __init__(self, cases_run: int, cases_passed: int,
+                 skipped: tuple[tuple[str, int], ...],
+                 mismatches: tuple[Mismatch, ...],
+                 divergences: tuple[Mismatch, ...], elapsed_seconds: float):
+        mismatches = tuple(mismatches)
+        affected = len({m.params for m in mismatches})
+        if cases_passed + affected != cases_run:
             raise ConsistencyError(
-                f"passed {self.cases_passed} + affected {affected} "
-                f"!= run {self.cases_run}")
+                f"passed {cases_passed} + affected {affected} != run {cases_run}")
+        vars(self).update(cases_run=cases_run, cases_passed=cases_passed,
+                          skipped=tuple(skipped), mismatches=mismatches,
+                          divergences=tuple(divergences),
+                          elapsed_seconds=elapsed_seconds)
 
     @property
     def cases_skipped(self) -> int:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from unittest import mock
 
@@ -27,6 +28,7 @@ from apery.cli import (
     main,
     parse_record,
 )
+from apery.verify import DEFAULT_GRID, cross_check, property_suite
 
 
 def run_cli(capsys, *argv):
@@ -844,6 +846,19 @@ class TestVerifyCommand:
         assert payload["cross_check"]["mismatches"] == []
         assert payload["property_suite"]["cases_run"] == 3
 
+    def test_no_range_flag_sweeps_the_default_grid(self, capsys):
+        # the range flags default to None, and the run fills in DEFAULT_GRID
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        expected = {"cross_check": cross_check(DEFAULT_GRID),
+                    "property_suite": property_suite(seed=0, budget=30)}
+        for label, report in expected.items():
+            want = report.to_dict()
+            del want["elapsed_seconds"], payload[label]["elapsed_seconds"]
+            assert payload[label] == want
+            assert want["cases_run"] > 0
+
     def test_injected_mismatch_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--a-max", "6",
                                "--budget", "3", "--inject-mismatch")
@@ -985,12 +1000,26 @@ class TestConsoleEntryPoint:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (EXIT_MISMATCH, b"")
 
-    def test_import_does_not_load_process_pool(self):
-        # the pool machinery is imported only when cross_check starts a pool
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, apery, apery.cli; "
-             "print('concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, env=_env_with_package())
+    def test_start_up_loads_only_what_the_command_reads(self):
+        # in a fresh interpreter, as pytest itself loads json and dataclasses:
+        # a quantity command loads neither verify nor what only verify (the
+        # pool machinery), JSON, CSV or the dataclasses module would need
+        script = textwrap.dedent("""
+            import sys
+            from apery import cli
+            UNUSED = {"apery.verify", "dataclasses", "inspect", "json", "csv",
+                      "concurrent.futures"}
+            cli.build_parser()
+            print(sorted(UNUSED & set(sys.modules)))
+            cli.main(["frobenius", "--a", "7", "--b", "2", "--d", "1",
+                      "--k", "2"])
+            print(sorted(UNUSED & set(sys.modules)))
+            cli.main(["verify", "--a-max", "4", "--budget", "1"])
+            print("apery.verify" in sys.modules)
+        """)
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=60,
+                                env=_env_with_package())
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout.splitlines()[:3] == ["[]", "55", "[]"]
+        assert result.stdout.splitlines()[-1] == "True"

@@ -1,6 +1,5 @@
 """Closed-form evaluator tests: formulas against the oracle and against
 frozen, independently confirmed values."""
-import dataclasses
 import time
 import tracemalloc
 from math import gcd
@@ -77,8 +76,7 @@ class TestFamilyParams:
             assert p == FamilyParams(a, b, d, k)
             assert hash(p) == hash(FamilyParams(a, b, d, k))
             assert repr(p) == f"FamilyParams(a={a}, b={b}, d={d}, k={k})"
-        assert [f.name for f in dataclasses.fields(FamilyParams)] == \
-            ["a", "b", "d", "k"]
+        assert FamilyParams.__match_args__ == ("a", "b", "d", "k")
         with pytest.raises(AttributeError):
             p.step = 1
 
