@@ -7,8 +7,9 @@ together with their colexicographic order and weights.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import log
-from typing import Iterable, NamedTuple, Sequence
 
 from .core import _Frozen, _shown, check_cap, check_int
 from .errors import InvalidParamsError
@@ -139,45 +140,38 @@ def _repunit_greedy_sum(b: int, k: int, x: int) -> int:
     """Greedy coin count of x over the repunits R_1..R_k, unvalidated.
 
     Walks the repunits at most x, largest first, and stops at the first
-    zero remainder.  For b = 2, R_i = 2^i - 1, and above a guard 0 bit the
-    greedy digits of x are its binary digits (closed_forms, step 7), so
-    one popcount in C counts them before the walk.  If x has more than k
-    bits, the greedy first takes x // R_k copies of R_k.  Then c is the
-    bit length of popcount(x) and g the lowest 0 bit of x at or above
-    position c, possibly above the top bit; each 1 bit above g is one
-    coin, t in all, and the walk goes on with (x mod 2^(g+1)) + t.  When
-    that leaves j > c + 16 bits, which takes a long run of 1 bits below g
-    or a carry into g, x = 2^j - u takes m = min(u - 1, j - e) coins in
-    one step (closed_forms, step 8) and the walk starts below them.
+    zero remainder.  For b = 2 it walks none: an x of more than k bits
+    first takes x // R_k coins R_k, and the rest is the least s with
+    popcount(x + s) <= s (closed_forms, step 7), found by bisection.
+    Every probe s < 2^c changes only the low c bits of x and carries at
+    most once into x >> c, whose popcount with and without that carry is
+    read once, so the search costs O(L) for an L-bit x.
     """
+    if b != 2:
+        return _greedy_prefix(_repunit_walk(b, k, x + 1), x)
     n = 0
-    if b == 2:
-        if x.bit_length() > k:
-            n, x = divmod(x, (1 << k) - 1)
-        c = x.bit_count().bit_length()
-        high = x >> c
-        g1 = c + (~high & (high + 1)).bit_length()  # g + 1
-        t = (x >> g1).bit_count()
-        n += t
-        x = (x & ((1 << g1) - 1)) + t
-        j = x.bit_length()
-        if j - c > 16:
-            u = (1 << j) - x
-            v = u - j + 1
-            # e, the least E >= 1 with 2^E + 1 - E >= v, is bitlen(v) - 1,
-            # bitlen(v) or bitlen(v) + 1 when v > 2
-            e = 1 if v <= 2 else v.bit_length() - 1
-            while (1 << e) + 1 - e < v:
-                e += 1
-            m = min(u - 1, j - e)
-            n += m
-            x = (1 << (j - m)) - (u - m)
-    return n + _greedy_prefix(_repunit_walk(b, k, x + 1), x)
+    if x.bit_length() > k:
+        n, x = divmod(x, (1 << k) - 1)
+    p = x.bit_count()
+    lo, hi = 0, p + p.bit_length() + 1
+    c = hi.bit_length()
+    mask = (1 << c) - 1
+    low = x & mask
+    # popcount(x >> c), and the same after a carry into it:
+    # (x | mask) + 1 = ((x >> c) + 1) << c
+    ones = (p - low.bit_count(), ((x | mask) + 1).bit_count())
+    while lo < hi:
+        s = (lo + hi) // 2
+        t = low + s
+        if ones[t >> c] + (t & mask).bit_count() <= s:
+            hi = s
+        else:
+            lo = s + 1
+    return n + lo
 
 
-class Orderliness(NamedTuple):
-    orderly: bool
-    counterexample: int | None
+# orderly: bool; counterexample: the least amount greedy fails, or None
+Orderliness = namedtuple("Orderliness", "orderly counterexample")
 
 
 def is_orderly(coins) -> Orderliness:

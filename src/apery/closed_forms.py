@@ -32,38 +32,20 @@ formulas with no search, for every a >= 2 and k >= 1:
    the first zero remainder, so F at an L-bit a holds O(L) bits, and on
    the named families it divides by only the few repunits that carry the
    nonzero digits of a-1.
-7. For b = 2, R_i = 2^i - 1, and above a guard 0 bit the greedy digits
-   of an amount x are its binary digits.  Let x have at most k bits (a
-   longer x first gives x // R_k copies of R_k and leaves x mod R_k <
-   2^k), let c be the bit length of popcount(x), and let bit g >= c of x
-   be 0.  Once the greedy has taken one coin R_j for each 1 bit j > i of
-   x, t_i coins in all, the remainder is (x mod 2^(i+1)) + t_i, as each
-   coin is 2^j less one.  Take i > g and let e be bit i of x.  The 0 bit
-   at g keeps x mod 2^i at most 2^i - 1 - 2^g, and t_i + e <=
-   popcount(x) < 2^c <= 2^g, so the remainder lies in [e*R_i, (e+1)*R_i):
-   the greedy digit of R_i is e.  So the coins above g number t_g =
-   popcount(x >> (g+1)), one pass in C, and the greedy goes on from R_g
-   with (x mod 2^(g+1)) + t_g, which is below R_(g+1).  With g the lowest
-   such 0 bit, F of the named base-2 families walks a few dozen repunits
-   where step 6's walk took one per bit of a-1; a run of 1 bits from c
-   up to far above it is step 8's.
-8. For b = 2 the greedy also crosses a run of 1 bits in one step.  Let
-   the remainder be x = 2^j - u with 1 < u <= 2^(j-1) + 1.  Then R_(j-1)
-   <= x < R_j, so the greedy takes R_(j-1) and leaves 2^(j-1) - (u-1):
-   the same shape with j and u one less each.  So its (i+1)-th coin is
-   R_E, E = j-1-i, while u - i > 1 and u - i <= 2^E + 1, that is while
-   E >= 1 and u - j + 1 + E <= 2^E + 1.  2^E - E does not decrease with
-   E, so the last condition holds exactly for E >= e, the least E >= 1
-   with 2^E + 1 >= u - j + 1 + E.  Hence the greedy takes m =
-   min(u-1, j-e) coins R_(j-1), ..., R_(j-m) in a row and leaves
-   2^(j-m) - (u-m): either R_(j-m), one coin, or a remainder below 2^e,
-   where e = 1 if u <= j + 1 and e <= bitlen(u-j+1) + 1 otherwise.
-   After step 7 with j bits left, j far above c, the bits c..g-1 are a
-   run of 1 bits.  If the remainder is below 2^g, then j = g and
-   u <= 2^c, so the walk goes on over about c bits.  Otherwise t carried
-   into bit g: x = 2^g + s with s < 2^c, e = g, and the step takes R_g
-   and leaves s + 1.  Either way F of a base-2 member walks O(c)
-   repunits however long its runs.
+7. For b = 2, R_i = 2^i - 1, so x is a sum of s coins exactly when
+   x + s is a sum of s powers of two, a term 2^0 standing for the coin
+   0; here s coins means at most s real ones.  The binary digits of
+   x + s are the fewest powers of two summing to it, and halving a power
+   above 2^0 adds one, up to x + s >= s terms, so such a sum exists
+   exactly when popcount(x + s) <= s.  So opt(x) is the least such s, and
+   by step 2 it is the greedy count.  s = x passes, as popcount(2x) =
+   popcount(x) <= x, so for x < 2^k the powers stay at most 2^k and the
+   coins at most R_k; a longer x first gives x // R_k coins R_k.  The
+   test is monotone, popcount(y + 1) <= popcount(y) + 1, and it holds at
+   s = p + bitlen(p) + 1 with p = popcount(x), as popcount(x + s) <=
+   p + popcount(s) and s <= 2p + 1 has at most bitlen(p) + 1 bits.  So
+   a bisection finds s with no repunit read, in O(L) for an L-bit x,
+   however x's 1 bits run.
 
 The genus follows from the Apery set by Selmer's formula and PF by the
 successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
 

@@ -6,8 +6,8 @@ applies to Mersenne, Thabit, repunit and the rest by name.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from copy import deepcopy
-from typing import Mapping
 
 from .closed_forms import FamilyParams, repunit_params, repunit_value
 from .core import _Frozen, _shown, check_int

@@ -21,8 +21,8 @@ from apery import (
     repunit_coins,
     weight,
 )
-from apery.changemaking import _greedy_prefix, _repunit_greedy_sum, \
-    _repunit_walk
+from apery.changemaking import _greedy_prefix, _opt_counts_upto, \
+    _repunit_greedy_sum, _repunit_walk
 
 import oracle_ref
 
@@ -213,8 +213,8 @@ class TestRepunitWalk:
 
 
 class TestRepunitGreedySum:
-    """The single-amount digit sum against the walk and against digit_sum,
-    whose loop stays independent of both."""
+    """The single-amount digit sum against the walk, against digit_sum,
+    whose loop stays independent of both, and against the min-coin DP."""
 
     @staticmethod
     def walked(b, k, x):
@@ -222,7 +222,7 @@ class TestRepunitGreedySum:
 
     @staticmethod
     def run_structured(rng, bits):
-        # alternating runs of 1 and 0 bits, so that guard bits sit at every
+        # alternating runs of 1 and 0 bits, so that 0 bits sit at every
         # distance from the top, and long runs of 1 bits sit above them
         x = pos = 0
         while pos < bits:
@@ -246,8 +246,8 @@ class TestRepunitGreedySum:
                         assert s == digit_sum(2, k, x), (x, k)
 
     def test_run_jump_equals_the_walk(self):
-        # closed_forms step 8: amounts whose remainder after the popcount
-        # step is a long run of 1 bits, or carries into the guard bit
+        # closed_forms step 7 on amounts with long runs of 1 bits, near
+        # 2^j, or whose probes x + s carry far up a run of 1 bits
         rng = random.Random(24)
         count = 0
         for _ in range(8000):
@@ -259,8 +259,8 @@ class TestRepunitGreedySum:
             for x in (rng.getrandbits(bits),
                       (1 << bits) - rng.randint(1, 3 * bits),
                       run | rng.getrandbits(low),
-                      # bits below the guard all 1 but a few at the bottom,
-                      # so the 1 bits above it carry into it
+                      # bits below the 0 bit at guard all 1 but a few at
+                      # the bottom, so that x + s carries into it
                       above | (1 << guard) - 1 - rng.randint(0, 3)):
                 k = rng.choice((rng.randint(1, 120), x.bit_length(),
                                 x.bit_length() + 1))
@@ -277,6 +277,25 @@ class TestRepunitGreedySum:
                     s = _repunit_greedy_sum(2, k, x)
                     assert s == self.walked(2, k, x) == digit_sum(2, k, x), \
                         (j, x, k)
+
+    def test_base_two_equals_the_min_coin_dp(self):
+        # optimality itself, not agreement with another greedy: the DP
+        # over the literal coins 2^i - 1 for every amount below 4096
+        for k in range(1, 14):
+            dp = _opt_counts_upto([2**i - 1 for i in range(1, k + 1)], 4095)
+            for x, opt in enumerate(dp):
+                assert _repunit_greedy_sum(2, k, x) == opt, (k, x)
+
+    def test_base_two_answer_is_the_least_passing_s(self):
+        # closed_forms step 7 read directly: s passes the popcount test
+        # and s - 1 fails it, on 10^5-bit amounts below 2^k
+        rng = random.Random(27)
+        for _ in range(20):
+            for x in (rng.getrandbits(10**5),
+                      self.run_structured(rng, 10**5)):
+                s = _repunit_greedy_sum(2, 10**5 + 1, x)
+                assert (x + s).bit_count() <= s, x
+                assert s == 0 or (x + s - 1).bit_count() > s - 1, x
 
 
 class TestGreedyPresentation:

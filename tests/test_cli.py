@@ -1001,25 +1001,29 @@ class TestConsoleEntryPoint:
         assert (proc.returncode, err) == (EXIT_MISMATCH, b"")
 
     def test_start_up_loads_only_what_the_command_reads(self):
-        # in a fresh interpreter, as pytest itself loads json and dataclasses:
-        # a quantity command loads neither verify nor what only verify (the
-        # pool machinery), JSON, CSV or the dataclasses module would need
+        # in a fresh interpreter, as pytest itself loads json and dataclasses,
+        # and with -S, as a site .pth file may preload typing: a quantity
+        # command or orderly loads neither verify nor what only verify (the
+        # pool machinery), JSON, CSV, the dataclasses module or typing would
+        # need
         script = textwrap.dedent("""
             import sys
             from apery import cli
             UNUSED = {"apery.verify", "dataclasses", "inspect", "json", "csv",
-                      "concurrent.futures"}
+                      "concurrent.futures", "typing"}
             cli.build_parser()
             print(sorted(UNUSED & set(sys.modules)))
             cli.main(["frobenius", "--a", "7", "--b", "2", "--d", "1",
                       "--k", "2"])
+            cli.main(["orderly", "--coins", "1,3,4"])
             print(sorted(UNUSED & set(sys.modules)))
             cli.main(["verify", "--a-max", "4", "--budget", "1"])
             print("apery.verify" in sys.modules)
         """)
-        result = subprocess.run([sys.executable, "-c", script],
+        result = subprocess.run([sys.executable, "-S", "-c", script],
                                 capture_output=True, text=True, timeout=60,
                                 env=_env_with_package())
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[:3] == ["[]", "55", "[]"]
+        assert result.stdout.splitlines()[:5] == [
+            "[]", "55", "non-orderly", "6", "[]"]
         assert result.stdout.splitlines()[-1] == "True"

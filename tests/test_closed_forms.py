@@ -263,9 +263,8 @@ class TestClosedAgainstOracle:
     def test_frobenius_reads_only_the_coins_it_divides_by(self, monkeypatch):
         # a - 1 = R_11 + R_10 for thabit(10) and 2*(R_5 + R_4) for
         # thabit_base_b(3, 4).  At b = 3 F stops the walk after the two
-        # coins that carry a - 1.  At b = 2, a - 1 = 2^11 + 2^10 - 2 has its
-        # 0 bit 10 above the guard, so bit 11 counts the coin R_11 with no
-        # walk, and the walk reads only R_10 = 2^10 - 1, the remainder.
+        # coins that carry a - 1.  At b = 2 F reads no repunit: the digit
+        # sum is the least s with popcount(a - 1 + s) <= s (step 7).
         read = []
         real = changemaking._repunit_walk
 
@@ -277,7 +276,7 @@ class TestClosedAgainstOracle:
         monkeypatch.setattr(changemaking, "_repunit_walk", walk)
         p = thabit(10)
         assert evaluate(p, "closed").frobenius == 9 * 2**20 - 3 * 2**10 - 1
-        assert read == [repunit_value(2, 10)]
+        assert read == []
         read.clear()
         p = thabit_base_b(3, 4)
         assert evaluate(p, "closed").frobenius == frobenius_from_apery(
@@ -556,9 +555,9 @@ class TestHugeFamilyMembers:
 
     def test_frobenius_of_a_run_of_ones_to_the_top(self):
         # a - 1 = 2^65552 - 2^16 - 2 for gu_ze_tang(16, 65536): its 65535
-        # high 1 bits run up to the top, with no 0 bit above them for the
-        # popcount step; step 8 crosses them in one step, and a walk of one
-        # repunit per bit would take over a second
+        # high 1 bits run up to the top; step 7's search reads them in a
+        # few passes in C, where a walk of one repunit per bit would take
+        # over a second
         p = gu_ze_tang(16, 65536)
         started = time.perf_counter()
         f = frobenius_closed(p)
