@@ -18,7 +18,7 @@ from .closed_forms import FamilyParams, _param_items, evaluate
 from .core import Evaluation, GeneratorList, SemigroupReport, _shown, \
     check_cap, check_int, parse_int
 from .errors import InvalidParamsError, OracleInfeasibleError
-from .families import FamilySpec, catalog, resolve
+from .families import _CATALOG, FamilySpec, catalog, resolve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -246,7 +246,7 @@ def _parse_range(text: str) -> range:
 
 
 _FAMILY_KEYS = tuple(dict.fromkeys(  # every family parameter, once each
-    p["name"] for entry in catalog() for p in entry["params"]))
+    p["name"] for entry in _CATALOG for p in entry["params"]))
 
 
 def _cmd_family(args) -> int:
@@ -404,38 +404,44 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone when it names a subcommand, else of all
-    nine with every option.  The top-level usage line lists all nine either
-    way, so it does not depend on `command`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all nine subcommands with every option.  `main` parses
+    with it an argv that does not start with a command, and one that leaves
+    arguments over for the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="apery",
         description="Numerical semigroup calculator: Frobenius numbers, "
                     "genus, Apery sets, pseudo-Frobenius sets, named "
                     "families, and closed-form vs oracle verification.")
-    known = command in _COMMANDS
-    # prog given, as argparse would otherwise format a usage line to find
-    # it; a metavar for one subparser alone, as the full parser's messages
-    # name the argument "command"
-    subs = parser.add_subparsers(
-        dest="command", required=True, prog="apery",
-        metavar="{" + ",".join(_COMMANDS) + "}" if known else None)
-    for name in [command] if known else _COMMANDS:
-        help_text, add_options, _ = _COMMANDS[name]
+    # prog given, as argparse would otherwise format a usage line to find it
+    subs = parser.add_subparsers(dest="command", required=True, prog="apery")
+    for name, (help_text, add_options, _) in _COMMANDS.items():
         add_options(subs.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # a command in first place parses with its own parser alone, built as
+    # the full parser's subparser for it is: the parser to which the full
+    # parser hands the rest of argv.  Only the full parser reports leftover
+    # arguments, lists the commands or refuses a command name, so it parses
+    # any other argv
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"apery {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 @_any_digits()
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a command in first place is the one that parses; any other argv gets
-    # the full parser, the only one that prints the command list or refuses
-    # a command name
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on a usage error, after printing the usage and
         # its message; this tool keeps 2 for verification mismatches

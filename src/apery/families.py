@@ -7,7 +7,6 @@ applies to Mersenne, Thabit, repunit and the rest by name.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from copy import deepcopy
 
 from .closed_forms import FamilyParams, repunit_params, repunit_value
 from .core import _Frozen, _shown, check_int
@@ -182,4 +181,6 @@ def resolve(spec: FamilySpec) -> FamilyParams:
 
 def catalog() -> list[dict]:
     """All eight families with parameter names, bounds and defaults."""
+    # imported here, so that a start-up that lists no family skips copy
+    from copy import deepcopy
     return deepcopy(list(_CATALOG))

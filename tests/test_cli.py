@@ -288,9 +288,9 @@ def _outcome(argv):
 
 
 def _full_outcome(argv):
-    # the outcome when every call builds the full parser
-    full = cli.build_parser
-    with mock.patch.object(cli, "build_parser", lambda command=None: full()):
+    # the outcome when the full parser parses every argv
+    with mock.patch.object(cli, "_parse_args",
+                           lambda argv: cli.build_parser().parse_args(argv)):
         return _outcome(argv)
 
 
@@ -298,26 +298,23 @@ def _subparsers(parser: argparse.ArgumentParser):
     return parser._subparsers._group_actions[0].choices.values()
 
 
-def _helped(parser: argparse.ArgumentParser) -> list[str]:
-    # the prog of each parser, the top-level one and its subparsers, that
-    # has its own -h
-    return [p.prog for p in (parser, *_subparsers(parser))
-            if any("-h" in a.option_strings for a in p._actions)]
-
-
-def _parsers_built(monkeypatch, argv) -> tuple[int, tuple]:
-    # how many ArgumentParser objects one main call constructs, and its
-    # outcome
+def _parsers_built(argv) -> tuple[list, tuple]:
+    # the ArgumentParser objects one main call constructs, and its outcome
     built = []
     real = argparse.ArgumentParser.__init__
 
-    def counting(self, *args, **kwargs):
+    def recording(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    outcome = _outcome(argv)
-    return len(built), outcome
+    with mock.patch.object(argparse.ArgumentParser, "__init__", recording):
+        return built, _outcome(argv)
+
+
+def _helped(parsers) -> list[str]:
+    # the prog of each parser that has its own -h
+    return [p.prog for p in parsers
+            if any("-h" in a.option_strings for a in p._actions)]
 
 
 # a small call that exits 0, per command
@@ -339,8 +336,8 @@ _VOCABULARY = sorted(
 
 
 class TestParserPerCommand:
-    """main builds the parser of the command it runs only, and prints
-    and returns what the full parser gives."""
+    """A command in first place parses with its own parser alone, and main
+    prints and returns what the full parser gives."""
 
     def test_declares_only_the_commands_options(self, capsys, monkeypatch):
         declared = []
@@ -354,18 +351,10 @@ class TestParserPerCommand:
                             recording)
         code, out, _ = run_cli(capsys, "orderly", "--coins", "1,3,4")
         assert (code, out) == (EXIT_OK, "non-orderly\n6\n")
-        # the -h of the parsers that parse, and orderly's own options
+        # orderly's -h and its own options
         assert declared == [
-            ("apery", ("-h", "--help")), ("apery orderly", ("-h", "--help")),
+            ("apery orderly", ("-h", "--help")),
             ("apery orderly", ("--coins",)), ("apery orderly", ("--format",))]
-
-    def test_help_only_on_the_parsers_that_parse(self):
-        assert _helped(cli.build_parser("genus")) == ["apery", "apery genus"]
-        assert _helped(cli.build_parser()) == [
-            "apery", *(f"apery {name}" for name in _COMMAND_NAMES)]
-        # a name that is no command parses nowhere; every -h stays
-        assert _helped(cli.build_parser("bogus")) == \
-            _helped(cli.build_parser())
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h", "frobenius"], ["nonsense"], [],
@@ -393,19 +382,37 @@ class TestParserPerCommand:
         assert _outcome(argv) == _full_outcome(argv)
 
     @pytest.mark.parametrize("name", _COMMAND_NAMES)
-    def test_two_parsers_for_a_command_first(self, monkeypatch, name):
-        built, (code, _, err) = _parsers_built(monkeypatch,
-                                               _SMALL_CALLS[name])
-        assert (built, code, err) == (2, EXIT_OK, "")
+    def test_one_parser_for_a_command_first(self, name):
+        built, (code, _, err) = _parsers_built(_SMALL_CALLS[name])
+        assert (len(built), code, err) == (1, EXIT_OK, "")
 
     @pytest.mark.parametrize("argv", [["-h", "frobenius"], ["bogus"], []])
-    def test_full_parser_for_anything_else(self, monkeypatch, argv):
-        assert _parsers_built(monkeypatch, argv)[0] == 10
+    def test_full_parser_for_anything_else(self, argv):
+        assert len(_parsers_built(argv)[0]) == 10
+
+    def test_full_parser_after_leftovers(self):
+        # the command's parser leaves "x" over, and the full parser reports it
+        built, (code, _, err) = _parsers_built([*_SMALL_CALLS["frobenius"],
+                                                "x"])
+        assert (len(built), code) == (1 + 10, EXIT_INVALID)
+        assert err.endswith("apery: error: unrecognized arguments: x\n")
+
+    def test_help_only_on_the_parsers_that_parse(self):
+        assert _helped(_parsers_built(_SMALL_CALLS["genus"])[0]) == \
+            ["apery genus"]
+        # the full parser, for a name that is no command: every -h stays
+        assert _helped(_parsers_built(["bogus"])[0]) == [
+            "apery", *(f"apery {name}" for name in _COMMAND_NAMES)]
 
     @pytest.mark.parametrize("name", _COMMAND_NAMES)
-    def test_usage_line_does_not_depend_on_the_command(self, name):
-        assert cli.build_parser(name).format_usage() == \
-            cli.build_parser().format_usage()
+    def test_usage_line_does_not_depend_on_the_command(self, capsys, name):
+        # the command's own parser prints the help, usage line first, of
+        # the full parser's subparser
+        full = {p.prog: p for p in _subparsers(cli.build_parser())}
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == full[f"apery {name}"].format_help()
 
     @pytest.mark.parametrize("argv, expected", [
         *(([name, "--gens", "5,7", "--a", "1", "--b", "2", "--d", "3",
@@ -431,7 +438,7 @@ class TestParserPerCommand:
     ])
     def test_full_parser_takes_every_option(self, argv, expected):
         assert vars(cli.build_parser().parse_args(argv)) == expected
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == expected
+        assert vars(cli._parse_args(argv)) == expected
 
     def test_reads_sys_argv_without_an_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["apery", "orderly", "--coins",
@@ -1004,13 +1011,13 @@ class TestConsoleEntryPoint:
         # in a fresh interpreter, as pytest itself loads json and dataclasses,
         # and with -S, as a site .pth file may preload typing: a quantity
         # command or orderly loads neither verify nor what only verify (the
-        # pool machinery), JSON, CSV, the dataclasses module or typing would
-        # need
+        # pool machinery), JSON, CSV, the dataclasses module, typing or a
+        # family listing (copy) would need
         script = textwrap.dedent("""
             import sys
             from apery import cli
             UNUSED = {"apery.verify", "dataclasses", "inspect", "json", "csv",
-                      "concurrent.futures", "typing"}
+                      "concurrent.futures", "typing", "copy"}
             cli.build_parser()
             print(sorted(UNUSED & set(sys.modules)))
             cli.main(["frobenius", "--a", "7", "--b", "2", "--d", "1",
