@@ -5,8 +5,10 @@ the minimum semigroup element in each residue class mod a.  It is computed
 as shortest paths over the residue graph, by one heap-free round-robin
 pass per generator (O(a*k) for k generators), and every classical quantity
 (Frobenius number, genus, gaps, pseudo-Frobenius set, type) is derived
-from it.  This module is the independent oracle that the package's
-closed-form evaluators are checked against.
+from it.  Its two O(a) loops use two facts: minima[0] = 0 is least, so the
+cycle through 0 is walked from 0 with no scan, and minima[r] + g lies in
+class r + g, so the pseudo-Frobenius test first reads minima rotated by g.
+This module is the independent oracle for the closed-form evaluators.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.  The number
 of residue classes a must fit in memory as a list index; a cap (default
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from math import gcd
 
 from .errors import ConsistencyError, InvalidParamsError, OracleInfeasibleError
@@ -247,6 +250,8 @@ def apery_set(gens) -> AperySet:
     step g walks every cycle r -> r + g of the residues once, from the
     cycle's least entry, so the table is exact for the steps added so far
     after each walk.  That is O(a) per step and O(a*k) in all, with no heap.
+    The cycle through 0 starts at table[0] = 0, the least entry, with no
+    scan; when gcd(a, g mod a) = 1 it is the whole table.
     """
     gens = _as_generators(gens)
     a = gens.least
@@ -266,17 +271,21 @@ def apery_set(gens) -> AperySet:
             continue  # g is already in the semigroup built so far
         p = gcd(a, step)
         length = a // p - 1
+        back = a - step  # r + step wraps past a exactly when r >= back
+        r = w = 0  # table[0] = 0 is the least entry of the cycle through 0
         for c in range(p):
-            cycle = table[c::p]
-            w = min(cycle)
-            if w == unreached:
-                continue
-            # a walk from the cycle's least entry is exact in one pass
-            r = c + cycle.index(w) * p
-            for _ in range(length):
-                r += step
-                if r >= a:
-                    r -= a
+            if c:
+                cycle = table[c::p]
+                w = min(cycle)
+                if w == unreached:
+                    continue
+                # a walk from the cycle's least entry is exact in one pass
+                r = c + cycle.index(w) * p
+            for _ in repeat(None, length):
+                if r < back:
+                    r += step
+                else:
+                    r -= back
                 w += g
                 t = table[r]
                 if t < w:
@@ -340,14 +349,20 @@ def pseudo_frobenius_from_apery(ape: AperySet) -> list[int]:
     semigroup.  The Apery set is closed downward under that order, so w is
     maximal iff w + g lies outside it for every generator g not divisible
     by a, i.e. minima[(w + g) % a] != w + g (Rosales and Garcia-Sanchez,
-    Numerical Semigroups, Springer 2009).  That is O(a*k) lookups for k
-    generators in ape.generators; a hand-built set without generators falls
-    back to minima[1:] and costs up to O(a^2).
+    Numerical Semigroups, Springer 2009).  As minima[r] + g lies in class
+    r + g, the first pass zips minima with its rotation by g % a.  That is
+    O(a*k) lookups for k generators in ape.generators; a hand-built set
+    without generators falls back to minima[1:] and costs up to O(a^2).
     """
     a = ape.modulus
     minima = ape.minima
     maximal = minima
-    for g in _successor_steps(ape.generators, a):
+    steps = _successor_steps(ape.generators, a)
+    if steps:
+        g = steps[0]
+        rotated = minima[g % a:] + minima[:g % a]  # minima[(r + g) % a] at r
+        maximal = [w for w, v in zip(minima, rotated) if v != w + g]
+    for g in steps[1:]:
         maximal = [w for w in maximal if minima[(w + g) % a] != w + g]
     return sorted(w - a for w in maximal)
 

@@ -10,9 +10,9 @@ class OracleInfeasibleError(RuntimeError):
 
     The one cap bounds every table the package builds: the residue classes
     of an Apery set, oracle or closed, the gaps of a listing, the cells of
-    a change-making DP, the grid points a verify sweep runs, and the
-    records of the CLI's `family --n-range`.  This signals infeasibility
-    of the requested table size, not a math error.
+    a change-making DP, the a values a verify sweep runs (not its count of
+    points), and the records of the CLI's `family --n-range`.  This signals
+    infeasibility of the requested table size, not a math error.
     """
 
 

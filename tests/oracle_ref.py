@@ -25,10 +25,18 @@ def safe_limit(gens):
     return min(gens) * max(gens) + max(gens)
 
 
-def ref_apery(gens):
+def full_sieve(gens):
+    """A sieve reaching as far as ref_pf reads, so that one table serves
+    ref_apery, ref_frobenius and ref_pf alike; a large set is then sieved
+    once instead of once per reference call."""
+    return sieve(gens, safe_limit(gens) + max(gens))
+
+
+def ref_apery(gens, table=None):
     """Least element per residue class modulo the least generator."""
     a = min(gens)
-    table = sieve(gens, safe_limit(gens))
+    if table is None:
+        table = sieve(gens, safe_limit(gens))
     minima = [None] * a
     found = 0
     for i, ok in enumerate(table):
@@ -41,10 +49,10 @@ def ref_apery(gens):
     return minima
 
 
-def ref_frobenius(gens):
+def ref_frobenius(gens, table=None):
     if 1 in gens:
         return -1
-    return max(ref_apery(gens)) - min(gens)
+    return max(ref_apery(gens, table)) - min(gens)
 
 
 def ref_genus(gens):
@@ -57,7 +65,7 @@ def ref_gaps(gens):
     return [i for i, ok in enumerate(table) if not ok and i > 0]
 
 
-def ref_pf(gens):
+def ref_pf(gens, table=None):
     """Pseudo-Frobenius numbers straight from the definition.
 
     u is pseudo-Frobenius iff u is a gap and u + g is in the semigroup for
@@ -66,9 +74,9 @@ def ref_pf(gens):
     """
     if 1 in gens:
         return [-1]
-    limit = safe_limit(gens) + max(gens)
-    table = sieve(gens, limit)
-    frob = ref_frobenius(gens)
+    if table is None:
+        table = full_sieve(gens)
+    frob = ref_frobenius(gens, table)
     return [u for u in range(1, frob + 1)
             if not table[u] and all(table[u + g] for g in gens)]
 

@@ -1,5 +1,6 @@
 """Oracle engine tests: Apery sets by the round-robin shortest-path pass,
 quantities derived from them, and agreement with the naive sieve reference."""
+from math import gcd
 from random import Random
 
 import pytest
@@ -285,6 +286,41 @@ class TestRoundRobin:
         assert list(ape.minima) == oracle_ref.ref_apery(gens)
 
 
+def _large_generator_set(a: int, factors: tuple[int, ...]) -> list[int]:
+    """Seeded set of the oracle benchmark's shape: least generator a and 2-5
+    more in (a, 4a].  With factors (each dividing a), every further
+    generator is a multiple of one of them, so every step g has
+    gcd(a, g mod a) > 1 and no walk covers the whole table."""
+    rng = Random(a)
+    while True:
+        gens = [a]
+        for _ in range(rng.randint(2, 5)):
+            f = rng.choice(factors or (1,))
+            gens.append(f * rng.randint(a // f + 1, 4 * a // f))
+        if oracle_ref.coprime(gens):
+            return sorted(set(gens))
+
+
+class TestOracleAtBenchmarkSizes:
+    """The round robin and the successor test at the sizes the oracle
+    benchmark runs (a up to 3000), far past the seeded and generated sets
+    above, against the naive sieve."""
+
+    @pytest.mark.parametrize("a, factors", [
+        (600, ()), (700, ()), (850, ()), (1200, ()), (3000, ()),
+        (1050, (2, 3, 5, 7)),
+    ])
+    def test_matches_reference(self, a, factors):
+        gens = _large_generator_set(a, factors)
+        if factors:
+            assert all(gcd(a, g % a) > 1 for g in gens[1:]), gens
+        table = oracle_ref.full_sieve(gens)
+        ape = apery_set(gens)
+        assert list(ape.minima) == oracle_ref.ref_apery(gens, table), gens
+        assert pseudo_frobenius_from_apery(ape) == \
+            oracle_ref.ref_pf(gens, table), gens
+
+
 def _pf_generator_set(rng: Random, shape: int) -> list[int]:
     """Seeded generator set; shapes 1-4 add the degenerate inputs the
     successor test must tolerate."""
@@ -315,6 +351,17 @@ class TestPseudoFrobeniusSuccessorTest:
             # without generators the Apery set itself is the fallback
             hand_built = AperySet(ape.modulus, ape.minima)
             assert pseudo_frobenius_from_apery(hand_built) == pf, gens
+
+    @pytest.mark.parametrize("gens", [
+        (5, 11, 23), (7, 15, 31), (15, 31, 63, 127), (10, 19, 23, 37)])
+    def test_first_pass_wraps_past_the_last_class(self, gens):
+        # the first pass reads minima[(r + s) % a] from minima rotated by
+        # s = g % a; a maximal class with r + s >= a reads past its end
+        ape = apery_set(gens)
+        a, s = ape.modulus, ape.generators[0] % ape.modulus
+        pf = pseudo_frobenius_from_apery(ape)
+        assert any(u % a + s >= a for u in pf)
+        assert pf == oracle_ref.ref_pf(list(gens))
 
     def test_unpruned_generators_give_the_same_pf(self):
         gens = [6, 9, 10, 12, 15, 16, 19, 36]  # redundant, same class, 6k
