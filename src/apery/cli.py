@@ -8,10 +8,13 @@ parsers that use fixed-width integers stay correct.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
+import shutil
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 from .changemaking import CoinSystem, is_orderly
 from .closed_forms import FamilyParams, _param_items, evaluate
@@ -28,6 +31,7 @@ EXIT_INFEASIBLE = 3
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
+_LINES_PER_WRITE = 4096
 
 
 class OutputRecord(SemigroupReport):
@@ -99,9 +103,10 @@ def parse_record(text: str) -> OutputRecord:
 
 @_any_digits()
 def _emit(fmt: str, payload, header, rows, lines) -> None:
-    # the one writer of stdout: JSON, CSV or plain lines.  rows and lines may
-    # be generators, so only the chosen layout is built; callers compute every
-    # value first, so a request that fails writes nothing to stdout
+    # the one writer of stdout: JSON, CSV or plain lines, the lines in one
+    # write per _LINES_PER_WRITE of them.  rows and lines may be generators,
+    # so only the chosen layout is built; callers compute every value first,
+    # so a request that fails writes nothing to stdout
     try:
         if fmt == "json":
             import json
@@ -112,8 +117,9 @@ def _emit(fmt: str, payload, header, rows, lines) -> None:
             writer.writerow(header)
             writer.writerows(rows)
         else:
-            for line in lines:
-                print(line)
+            lines = iter(lines)
+            while chunk := list(islice(lines, _LINES_PER_WRITE)):
+                sys.stdout.write("\n".join(map(str, chunk)) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left, as `| head -1` does: keep the exit code, and point
@@ -404,19 +410,29 @@ _COMMANDS = {
 }
 
 
+def _help_formatter():
+    # argparse's HelpFormatter at the width it works out itself.  argparse
+    # builds a formatter per declared option and per help or usage text, and
+    # each would probe the terminal again; every parser of one tree shares this
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of all nine subcommands with every option.  `main` parses
     with it an argv that does not start with a command, and one that leaves
     arguments over for the command's own parser."""
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
-        prog="apery",
+        prog="apery", formatter_class=formatter,
         description="Numerical semigroup calculator: Frobenius numbers, "
                     "genus, Apery sets, pseudo-Frobenius sets, named "
                     "families, and closed-form vs oracle verification.")
     # prog given, as argparse would otherwise format a usage line to find it
     subs = parser.add_subparsers(dest="command", required=True, prog="apery")
     for name, (help_text, add_options, _) in _COMMANDS.items():
-        add_options(subs.add_parser(name, help=help_text))
+        add_options(subs.add_parser(name, help=help_text,
+                                    formatter_class=formatter))
     return parser
 
 
@@ -427,7 +443,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     # arguments, lists the commands or refuses a command name, so it parses
     # any other argv
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"apery {argv[0]}")
+        parser = argparse.ArgumentParser(prog=f"apery {argv[0]}",
+                                         formatter_class=_help_formatter())
         _COMMANDS[argv[0]][1](parser)
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:

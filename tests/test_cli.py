@@ -18,7 +18,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from apery import InvalidParamsError, cli, core, frobenius_closed, \
     genus_closed, mersenne, report_closed, repunit_general_frobenius, \
     repunit_params, thabit
-from apery.closed_forms import ClosedEvaluation
+from apery.closed_forms import ClosedEvaluation, FamilyParams, evaluate
 from apery.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
@@ -152,6 +152,36 @@ class TestQuantities:
                                "--d", "2", "--k", "2", "--format", "csv")
         assert code == EXIT_OK
         assert out == header + ",7,3,2,2,closed-form,110,57,2,62;110,,\r\n"
+
+    @pytest.mark.parametrize("command, abdk", [
+        ("gaps", (150, 2, 1, 3)), ("apery", (5003, 2, 1, 3))])
+    def test_long_listing_in_bounded_writes(self, command, abdk):
+        # 12942 gaps and 5003 Apery elements: one value per line, written
+        # _LINES_PER_WRITE lines at a time
+        ev = evaluate(FamilyParams(*abdk), "closed")
+        values = ev.gaps if command == "gaps" else ev.apery.minima
+        out = _Writes()
+        with contextlib.redirect_stdout(out):
+            assert main([command, *(f"--{key}={v}" for key, v in
+                                    zip("abdk", abdk))]) == EXIT_OK
+        assert out.getvalue() == "\n".join(map(str, values)) + "\n"
+        full, last = divmod(len(values), cli._LINES_PER_WRITE)
+        assert full and last
+        assert out.lines == [cli._LINES_PER_WRITE] * full + [last]
+
+    def test_empty_listing_prints_nothing(self, capsys):
+        assert run_cli(capsys, "gaps", "--gens", "1") == (EXIT_OK, "", "")
+
+
+class _Writes(io.StringIO):
+    # a stdout that keeps the line count of each write
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
 
 
 def _without_engine(out, fmt, engine):
@@ -445,6 +475,51 @@ class TestParserPerCommand:
                                           "1,5,10,25"])
         assert main() == EXIT_OK
         assert capsys.readouterr().out == "orderly\n"
+
+
+def _default_formatter_outcome(argv):
+    # the outcome when every parser formats with argparse's own
+    # HelpFormatter, which works out the terminal width each time it is built
+    with mock.patch.object(cli, "_help_formatter",
+                           lambda: argparse.HelpFormatter):
+        return _outcome(argv)
+
+
+def _probes(argv) -> int:
+    # the terminal probes that one main call makes
+    real = cli.shutil.get_terminal_size
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(cli.shutil, "get_terminal_size", counting):
+        _outcome(argv)
+    return len(calls)
+
+
+class TestHelpWidth:
+    """Every parser of one tree formats at the width that argparse's
+    HelpFormatter works out itself, probed once for the tree."""
+
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["-h"], *([name, "-h"] for name in _COMMAND_NAMES), ["bogus"],
+        [*_SMALL_CALLS["frobenius"], "--bogus"]])
+    def test_same_text_as_the_default_formatter(self, monkeypatch, argv,
+                                                columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _outcome(argv) == _default_formatter_outcome(argv)
+
+    @pytest.mark.parametrize("argv", [*_SMALL_CALLS.values(), ["-h"],
+                                      ["bogus"]])
+    def test_one_probe_per_call(self, argv):
+        assert _probes(argv) == 1
+
+    def test_two_probes_after_leftovers(self):
+        # the command's parser, then the full parser that reports "x"
+        assert _probes([*_SMALL_CALLS["frobenius"], "x"]) == 2
 
 
 # each source of integer text, as the environment and argv that carry text
@@ -982,12 +1057,15 @@ class TestConsoleEntryPoint:
             "frobenius: 55", "genus: 32", "type: 2", "pf: 54,55"]
 
     @pytest.mark.parametrize("argv", [
-        ("gaps",), ("gaps", "--format", "csv"), ("report", "--format", "json")])
+        ("gaps", "--a", "400"), ("gaps", "--format", "csv", "--a", "400"),
+        ("report", "--format", "json", "--a", "400"),
+        ("apery", "--a", "5003")])
     def test_closed_stdout_exits_quietly(self, argv):
-        # the reader takes one line, or its first 8 KiB, of about 0.6 MB and
-        # closes the pipe, as `| head -1` does
+        # the reader takes one line, or its first 8 KiB, and closes the pipe,
+        # as `| head -1` does; the plain listings (91656 gaps, about 0.6 MB,
+        # and 5003 Apery elements) are each longer than one write
         proc = subprocess.Popen(
-            [sys.executable, "-m", "apery.cli", *argv, "--a", "400",
+            [sys.executable, "-m", "apery.cli", *argv,
              "--b", "2", "--d", "1", "--k", "3"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=_env_with_package())
