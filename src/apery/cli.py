@@ -163,7 +163,7 @@ def _evaluation(args) -> tuple[dict, Evaluation]:
         raise InvalidParamsError(
             "need --gens or all of --a/--b/--d/--k (missing: "
             + ", ".join(missing) + ")")
-    p = FamilyParams(a=args.a, b=args.b, d=args.d, k=args.k)
+    p = FamilyParams(args.a, args.b, args.d, args.k)
     return dict(_param_items(p)), evaluate(p, args.engine)
 
 

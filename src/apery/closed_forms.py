@@ -75,12 +75,15 @@ class FamilyParams(_Frozen):
     _fields = ("a", "b", "d", "k")
 
     def __init__(self, a: int, b: int, d: int, k: int):
-        vars(self).update(a=a, b=b, d=d, k=k)
-        for name, low in _FLOORS.items():
-            check_int(getattr(self, name), name, low)
-        if gcd(self.a, self.d) != 1:
+        if not (type(a) is type(b) is type(d) is type(k) is int
+                and a >= _FLOORS["a"] and b >= _FLOORS["b"]
+                and d >= _FLOORS["d"] and k >= _FLOORS["k"]):
+            for value, (name, low) in zip((a, b, d, k), _FLOORS.items()):
+                check_int(value, name, low)
+        if gcd(a, d) != 1:
             raise InvalidParamsError(
-                f"gcd(a, d) = gcd({_shown(self.a)}, {_shown(self.d)}) != 1")
+                f"gcd(a, d) = gcd({_shown(a)}, {_shown(d)}) != 1")
+        vars(self).update(a=a, b=b, d=d, k=k)
 
     @property
     def step(self) -> int:
@@ -277,7 +280,7 @@ def repunit_params(b: int, n: int, d: int = 1) -> FamilyParams:
     """
     check_int(b, "b", 2)
     check_int(n, "n", 2)
-    return FamilyParams(a=repunit_value(b, n), b=b, d=d, k=n - 1)
+    return FamilyParams(repunit_value(b, n), b, d, n - 1)
 
 
 def repunit_general_frobenius(b: int, n: int, d: int = 1) -> int:

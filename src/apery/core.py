@@ -93,7 +93,7 @@ def check_int(value, what: str, low: int | None = None) -> int:
 
 class _Frozen:
     """Base of the record types, whose __init__ sets the fields in _fields
-    once, by vars(self).update(...).  The first _compared (all if None) give
+    once, in vars(self).  The first _compared (all if None) give
     the hash and equality with exactly the same class; all show in repr."""
 
     _fields: tuple[str, ...] = ()

@@ -8,31 +8,31 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .closed_forms import FamilyParams, repunit_params, repunit_value
+from .closed_forms import FamilyParams, repunit_value
 from .core import _Frozen, _shown, check_int
 from .errors import InvalidParamsError
 
 
 def mersenne(n: int) -> FamilyParams:
     """Mersenne semigroup: a = 2^n - 1, b = 2, d = 1, k = n - 1; n >= 2."""
-    _check_bounds("mersenne", n=n)
-    return repunit_params(2, n)
+    _check_bounds("mersenne", n)
+    return FamilyParams((1 << n) - 1, 2, 1, n - 1)
 
 
 def thabit(n: int) -> FamilyParams:
     """Thabit semigroup: a = 3*2^n - 1, b = 2, d = 1, k = n + 1; n >= 1."""
-    _check_bounds("thabit", n=n)
-    return FamilyParams(a=3 * 2**n - 1, b=2, d=1, k=n + 1)
+    _check_bounds("thabit", n)
+    return FamilyParams(3 * (1 << n) - 1, 2, 1, n + 1)
 
 
 def gu_ze_tang(n: int, m: int) -> FamilyParams:
     """a = (2^m - 1)*2^n - 1, b = 2, d = 1, k = n + m - 1; n >= 1, 2 <= m <= 2^n."""
-    _check_bounds("gu-ze-tang", n=n, m=m)
-    if m > 2**n:
+    _check_bounds("gu-ze-tang", n, m)
+    if m > 1 << n:
         raise InvalidParamsError(
             f"gu-ze-tang needs 2 <= m <= 2^n = {_shown(2**n)}, "
             f"got m={_shown(m)}")
-    return FamilyParams(a=(2**m - 1) * 2**n - 1, b=2, d=1, k=n + m - 1)
+    return FamilyParams((((1 << m) - 1) << n) - 1, 2, 1, n + m - 1)
 
 
 def song_gt(n: int, m: int) -> FamilyParams:
@@ -41,33 +41,34 @@ def song_gt(n: int, m: int) -> FamilyParams:
     delta is 1 when n = 0, m when 0 < m <= n, and m - 1 when m > n >= 1.
     Requires m >= 2, n >= 0; n = 0 degenerates to two generators.
     """
-    _check_bounds("song-gt", n=n, m=m)
+    _check_bounds("song-gt", n, m)
     if n == 0:
         delta = 1
     elif m <= n:
         delta = m
     else:
         delta = m - 1
-    return FamilyParams(a=(2**m + 1) * 2**n - (2**m - 1), b=2,
-                        d=2**m - 1, k=n + delta)
+    t = 1 << m
+    return FamilyParams(((t + 1) << n) - (t - 1), 2, t - 1, n + delta)
 
 
 def liu_xin(m: int, k: int, d: int = 1) -> FamilyParams:
     """a = m*(2^k - 1) + 2^(k-1) - 1, b = 2; m >= 1, k >= 3, free step d."""
-    _check_bounds("liu-xin", m=m, k=k, d=d)
-    return FamilyParams(a=m * (2**k - 1) + 2**(k - 1) - 1, b=2, d=d, k=k)
+    _check_bounds("liu-xin", m, k, d)
+    return FamilyParams(m * ((1 << k) - 1) + (1 << (k - 1)) - 1, 2, d, k)
 
 
 def repunit(b: int, n: int) -> FamilyParams:
     """Repunit semigroup: a = (b^n - 1)/(b - 1), d = 1, k = n - 1; b, n >= 2."""
-    _check_bounds("repunit", b=b, n=n)
-    return repunit_params(b, n)
+    _check_bounds("repunit", b, n)
+    return FamilyParams(repunit_value(b, n), b, 1, n - 1)
 
 
 def gu_ze(b: int, n: int) -> FamilyParams:
     """a = b^(n+1) + (b^n - 1)/(b - 1), d = 1, k = n + 1; b >= 2, n >= 0."""
-    _check_bounds("gu-ze", b=b, n=n)
-    return FamilyParams(a=b**(n + 1) + repunit_value(b, n), b=b, d=1, k=n + 1)
+    _check_bounds("gu-ze", b, n)
+    t = b**n
+    return FamilyParams(b * t + (t - 1) // (b - 1), b, 1, n + 1)
 
 
 def thabit_base_b(b: int, n: int) -> FamilyParams:
@@ -75,8 +76,8 @@ def thabit_base_b(b: int, n: int) -> FamilyParams:
 
     Requires b >= 2, n >= 0; at b = 2 this is the classical Thabit family.
     """
-    _check_bounds("thabit-base-b", b=b, n=n)
-    return FamilyParams(a=(b + 1) * b**n - 1, b=b, d=b - 1, k=n + 1)
+    _check_bounds("thabit-base-b", b, n)
+    return FamilyParams((b + 1) * b**n - 1, b, b - 1, n + 1)
 
 
 _RESOLVERS = {
@@ -141,41 +142,52 @@ _CATALOG: tuple[dict, ...] = (
 )
 
 FAMILY_NAMES: tuple[str, ...] = tuple(entry["name"] for entry in _CATALOG)
-_ENTRIES: dict[str, dict] = {entry["name"]: entry for entry in _CATALOG}
+# read off the catalog once: allowed and required keys, (label, min) rows
+_KEYS = {e["name"]: (frozenset(p["name"] for p in e["params"]), frozenset(
+    p["name"] for p in e["params"] if "default" not in p)) for e in _CATALOG}
+_BOUNDS = {e["name"]: tuple((f"{e['name']} {p['name']}", p["min"])
+                            for p in e["params"]) for e in _CATALOG}
 
 
-def _check_bounds(family: str, **values: int) -> None:
-    # lower bounds live only in the catalog; gu-ze-tang's m <= 2^n stays put
-    for param in _ENTRIES[family]["params"]:
-        name = param["name"]
-        check_int(values[name], f"{family} {name}", param["min"])
+def _check_bounds(family: str, *values: int) -> None:
+    # values in catalog order; gu-ze-tang's m <= 2^n stays with gu_ze_tang
+    for (label, low), value in zip(_BOUNDS[family], values):
+        if type(value) is not int or value < low:
+            check_int(value, label, low)
 
 
 class FamilySpec(_Frozen):
-    """A family name plus its free parameters, ready to resolve."""
+    """A family name plus its free parameters, ready to resolve; a bad name,
+    params or key raises InvalidParamsError here, a bad value in resolve."""
 
     _fields = ("name", "params")
 
     def __init__(self, name: str, params: Mapping[str, int] = ()):
-        if name not in _RESOLVERS:
-            raise InvalidParamsError(
-                f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-        vars(self).update(name=name, params=dict(params))
-        entry = _ENTRIES[self.name]
-        allowed = {p["name"] for p in entry["params"]}
-        required = {p["name"] for p in entry["params"] if "default" not in p}
-        given = set(self.params)
-        if not required <= given:
-            missing = ", ".join(sorted(required - given))
-            raise InvalidParamsError(f"family {self.name} missing: {missing}")
-        if not given <= allowed:
-            extra = ", ".join(sorted(given - allowed))
-            raise InvalidParamsError(
-                f"family {self.name} does not take: {extra}")
+        try:
+            allowed, required = _KEYS[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise InvalidParamsError(f"unknown family {name!r}; known: "
+                                     f"{', '.join(FAMILY_NAMES)}") from None
+        try:
+            params = dict(params)
+        except (TypeError, ValueError):
+            raise InvalidParamsError(f"family {name} params must be a mapping,"
+                                     f" got {_shown(params)}") from None
+        if not required <= params.keys() <= allowed:
+            if missing := required - params.keys():
+                raise InvalidParamsError(
+                    f"family {name} missing: {', '.join(sorted(missing))}")
+            extra = ", ".join(sorted(k if isinstance(k, str) else _shown(k)
+                                     for k in params.keys() - allowed))
+            raise InvalidParamsError(f"family {name} does not take: {extra}")
+        fields = vars(self)
+        fields["name"], fields["params"] = name, params
 
 
 def resolve(spec: FamilySpec) -> FamilyParams:
-    """Map a named family instance to its (a, b, d, k) parameters."""
+    """Map a named family instance to its (a, b, d, k) parameters; a value
+    that is no int or out of bounds raises InvalidParamsError, as does a
+    gcd(a, d) != 1."""
     return _RESOLVERS[spec.name](**spec.params)
 
 

@@ -198,7 +198,7 @@ def _run_case(grid: GridSpec, top: int, injected, case) -> list[Mismatch]:
     # top is the last DP cell that the grid's largest runnable a reads;
     # injected is the case whose Frobenius value is corrupted, or None
     a, b, d, k = case
-    p = FamilyParams(a=a, b=b, d=d, k=k)
+    p = FamilyParams(a, b, d, k)
     records = run_single(p, check_pf=grid.check_pf,
                          inject_mismatch=case == injected)
     if grid.check_monotone:
@@ -391,7 +391,7 @@ def _check_monotone_sampled(rng: Random,
                       for name in _FLOORS)
         if gcd(a, d) == 1:
             break
-    p = FamilyParams(a=a, b=b, d=d, k=k)
+    p = FamilyParams(a, b, d, k)
     return _monotone_records(p, params + _param_items(p))
 
 

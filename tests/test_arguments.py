@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apery import (
+    FAMILY_NAMES,
     CoinSystem,
     FamilyParams,
+    FamilySpec,
     GeneratorList,
     GreedyPresentation,
     GridSpec,
@@ -35,6 +37,7 @@ from apery import (
     repunit_general_genus,
     repunit_params,
     residue_minimum,
+    resolve,
     song_gt,
     thabit,
     thabit_base_b,
@@ -112,12 +115,25 @@ def test_bound_message():
 
 values = st.one_of(st.integers(-3, 40), st.integers(), st.floats(),
                    st.booleans(), st.text(max_size=3))
+# family parameter values stay small: thabit(10**9) is valid but slow
+family_values = st.one_of(st.integers(-3, 40), st.floats(), st.booleans(),
+                          st.text(max_size=3))
+names = st.one_of(st.sampled_from(FAMILY_NAMES), st.text(max_size=3),
+                  st.integers(), st.none(),
+                  st.lists(st.sampled_from(FAMILY_NAMES), max_size=1))
+keys = st.one_of(st.sampled_from("nmbkd"), st.integers(-2, 2),
+                 st.text(max_size=2), st.none())
+specs = st.one_of(st.dictionaries(keys, family_values, max_size=4),
+                  st.none(), st.lists(family_values, max_size=2),
+                  family_values)
 
 
 @given(st.lists(values, max_size=4), values, st.lists(values, min_size=4,
-                                                      max_size=4))
+                                                      max_size=4),
+       names, specs)
 @settings(max_examples=300, deadline=None)
-def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params):
+def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params,
+                                                     name, spec):
     # a small cap turns every large DP table into OracleInfeasibleError
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SEMIGROUP_ORACLE_CAP", "1000")
@@ -125,7 +141,8 @@ def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params):
                  lambda: CoinSystem(elements).denominations,
                  lambda: FamilyParams(*params).a,
                  lambda: greedy_count([1, *elements], amount),
-                 lambda: opt_count([1, *elements], amount)]
+                 lambda: opt_count([1, *elements], amount),
+                 lambda: resolve(FamilySpec(name, spec)).a]
         for call in calls:
             try:
                 result = call()
@@ -133,6 +150,21 @@ def test_any_value_gives_an_answer_or_a_typed_error(elements, amount, params):
                 continue
             flat = result if isinstance(result, tuple) else (result,)
             assert all(type(x) is int for x in flat), result
+
+
+@pytest.mark.parametrize("name, params, text", [
+    (["thabit"], {"n": 3}, "unknown family ['thabit']; known: mersenne, "),
+    ("thabit", {"n": 3, 5: 1}, "family thabit does not take: 5"),
+    ("thabit", {"n": 3, 2**70: 1, (1,): 2},
+     "family thabit does not take: (1,), <integer of 71 bits>"),
+    ("thabit", None, "family thabit params must be a mapping, got None"),
+    ("thabit", "n3", "family thabit params must be a mapping, got 'n3'"),
+], ids=["unhashable name", "int key", "mixed keys", "None", "text"])
+def test_family_spec_refusals_name_the_bad_part(name, params, text):
+    # refused by a text that names the bad part, not by TypeError or ValueError
+    with pytest.raises(InvalidParamsError) as err:
+        FamilySpec(name, params)
+    assert str(err.value).startswith(text)
 
 
 HUGE = 3 * 2**100000 - 1  # 30104 decimal digits

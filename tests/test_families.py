@@ -7,6 +7,7 @@ import pytest
 
 from apery import (
     FAMILY_NAMES,
+    FamilyParams,
     FamilySpec,
     InvalidParamsError,
     apery_set,
@@ -243,6 +244,94 @@ class TestSpecAndCatalog:
         # every level is copied, song-gt's delta branches too
         catalog()[3]["delta"][0]["value"] = "x"
         assert catalog()[3]["delta"][0]["value"] == "1"
+
+
+# the refusal texts, byte for byte: name and key checks run when a spec is
+# built, value and bound checks in resolve
+KNOWN = ("mersenne, thabit, gu-ze-tang, song-gt, liu-xin, repunit, gu-ze, "
+         "thabit-base-b")
+SPEC_REFUSALS = [
+    ("fibonacci", {"n": 3}, f"unknown family 'fibonacci'; known: {KNOWN}"),
+    *((name, {}, f"family {name} missing: {keys}") for name, keys in (
+        ("mersenne", "n"), ("thabit", "n"), ("gu-ze-tang", "m, n"),
+        ("song-gt", "m, n"), ("liu-xin", "k, m"), ("repunit", "b, n"),
+        ("gu-ze", "b, n"), ("thabit-base-b", "b, n"))),
+    *((name, {**floors, "x": 1}, f"family {name} does not take: x")
+      for name, floors in (
+          ("mersenne", {"n": 2}), ("thabit", {"n": 1}),
+          ("gu-ze-tang", {"n": 1, "m": 2}), ("song-gt", {"n": 0, "m": 2}),
+          ("liu-xin", {"m": 1, "k": 3}), ("repunit", {"b": 2, "n": 2}),
+          ("gu-ze", {"b": 2, "n": 0}), ("thabit-base-b", {"b": 2, "n": 0}))),
+    ("liu-xin", {"m": 1, "k": 3, "zz": 1, "aa": 2},
+     "family liu-xin does not take: aa, zz"),
+]
+RESOLVE_REFUSALS = [
+    ("mersenne", {"n": 1}, "need mersenne n >= 2, got 1"),
+    ("thabit", {"n": 0}, "need thabit n >= 1, got 0"),
+    ("gu-ze-tang", {"n": 0, "m": 2}, "need gu-ze-tang n >= 1, got 0"),
+    ("gu-ze-tang", {"n": 1, "m": 1}, "need gu-ze-tang m >= 2, got 1"),
+    ("gu-ze-tang", {"n": 2, "m": 5},
+     "gu-ze-tang needs 2 <= m <= 2^n = 4, got m=5"),
+    ("song-gt", {"n": -1, "m": 2}, "need song-gt n >= 0, got -1"),
+    ("song-gt", {"n": 0, "m": 1}, "need song-gt m >= 2, got 1"),
+    ("liu-xin", {"m": 0, "k": 3}, "need liu-xin m >= 1, got 0"),
+    ("liu-xin", {"m": 1, "k": 2}, "need liu-xin k >= 3, got 2"),
+    ("liu-xin", {"m": 1, "k": 3, "d": 0}, "need liu-xin d >= 1, got 0"),
+    ("liu-xin", {"m": 1, "k": 3, "d": 5}, "gcd(a, d) = gcd(10, 5) != 1"),
+    ("repunit", {"b": 1, "n": 2}, "need repunit b >= 2, got 1"),
+    ("repunit", {"b": 2, "n": 1}, "need repunit n >= 2, got 1"),
+    ("gu-ze", {"b": 1, "n": 0}, "need gu-ze b >= 2, got 1"),
+    ("gu-ze", {"b": 2, "n": -1}, "need gu-ze n >= 0, got -1"),
+    ("thabit-base-b", {"b": 1, "n": 0}, "need thabit-base-b b >= 2, got 1"),
+    ("thabit-base-b", {"b": 2, "n": -1}, "need thabit-base-b n >= 0, got -1"),
+]
+# below a floor, one field at a time in the order a, b, d, k, then gcd
+PARAMS_REFUSALS = [
+    ((1, 1, 0, 0), "need a >= 2, got 1"),
+    ((2, 1, 0, 0), "need b >= 2, got 1"),
+    ((3, 2, 0, 0), "need d >= 1, got 0"),
+    ((3, 2, 1, 0), "need k >= 1, got 0"),
+    ((4, 2, 2, 1), "gcd(a, d) = gcd(4, 2) != 1"),
+]
+
+
+class TestRefusalTexts:
+    @pytest.mark.parametrize("name, params, text", SPEC_REFUSALS)
+    def test_spec(self, name, params, text):
+        with pytest.raises(InvalidParamsError) as err:
+            FamilySpec(name, params)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("name, params, text", RESOLVE_REFUSALS)
+    def test_resolve(self, name, params, text):
+        spec = FamilySpec(name, params)  # the names are fine
+        with pytest.raises(InvalidParamsError) as err:
+            resolve(spec)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("args, text", PARAMS_REFUSALS)
+    def test_family_params(self, args, text):
+        with pytest.raises(InvalidParamsError) as err:
+            FamilyParams(*args)
+        assert str(err.value) == text
+
+    def test_each_bound_in_the_catalog_is_pinned(self):
+        pinned = {(name, key) for name, params, text in RESOLVE_REFUSALS
+                  for key in params if text.startswith(f"need {name} {key}")}
+        assert pinned == {(e["name"], p["name"]) for e in catalog()
+                          for p in e["params"]}
+
+    @pytest.mark.parametrize("entry", catalog(), ids=FAMILY_NAMES)
+    def test_required_keys_resolve_and_each_names_itself(self, entry):
+        required = {p["name"]: p["min"] for p in entry["params"]
+                    if "default" not in p}
+        p = resolve(FamilySpec(entry["name"], required))
+        assert all(type(v) is int for v in (p.a, p.b, p.d, p.k))
+        for key in required:
+            fewer = {k: v for k, v in required.items() if k != key}
+            with pytest.raises(InvalidParamsError,
+                               match=f"missing: {key}$"):
+                FamilySpec(entry["name"], fewer)
 
 
 class TestNamedFamilyGenus:
