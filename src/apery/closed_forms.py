@@ -46,14 +46,24 @@ formulas with no search, for every a >= 2 and k >= 1:
    p + popcount(s) and s <= 2p + 1 has at most bitlen(p) + 1 bits.  So
    a bisection finds s with no repunit read, in O(L) for an L-bit x,
    however x's 1 bits run.
+8. PF by the successor test in class-index order: w_r - a is in PF iff
+   w_r + g lies outside the Apery set for every generator g.  For g = a
+   it does; the others are g_i = a + R_i*step with R_i < a (step 6), and
+   w_r + g_i = (s(r)+1)*a + (r+R_i)*step.  If r + R_i < a, that is in
+   class index r + R_i and equals w_(r+R_i) exactly when s(r+R_i) =
+   s(r) + 1.  If r + R_i >= a, it is in class index t = r + R_i - a and
+   exceeds w_t by (s(r)+1-s(t))*a + a*step > 0, as s(t) <= t < a < step.
+   So PF reads the digit sums alone.  By step 4, w_(r+1) - w_r >= step -
+   (b-1)*a = d > 0, so the w_r ascend with r and PF comes out sorted.
 
-The genus follows from the Apery set by Selmer's formula and PF by the
-successor test.  When a is the base-b repunit (b^n - 1)/(b - 1) and
-k = n - 1 everything specializes further, down to the pseudo-Frobenius
-set; Mersenne, Thabit and repunit semigroups are instances.
+The genus follows from the digit sums by Selmer's formula.  When a is
+the base-b repunit (b^n - 1)/(b - 1) and k = n - 1 everything
+specializes further, down to the pseudo-Frobenius set; Mersenne, Thabit
+and repunit semigroups are instances.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import takewhile
 from math import gcd
 
@@ -61,7 +71,7 @@ from .changemaking import _greedy_prefix, _repunit_greedy_sum, \
     _repunit_walk, repunit_value
 from .core import AperySet, ENGINE_CLOSED, Evaluation, GeneratorList, \
     OracleEvaluation, SemigroupReport, _Frozen, _cached, _shown, \
-    check_cap, check_int, pseudo_frobenius_from_apery
+    check_cap, check_int
 from .errors import ConsistencyError, InvalidParamsError
 
 
@@ -192,20 +202,24 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def minima(self) -> tuple[int, ...]:
-        # the closed Apery set before AperySet checks it, so that verify
-        # reports a wrong formula as a mismatch instead of failing
+        # w_r at residue x = d*r mod a (steps 2, 3), before AperySet checks
+        # it, so that verify reports a wrong formula as a mismatch
         p = self.source
-        # residue x holds class index x/d mod a, that is x*d_inv % a
-        d_inv = pow(p.d, -1, p.a)
-        indices = map(p.a.__rmod__, range(0, p.a * d_inv, d_inv))
-        return tuple(_class_minima(p, self.digit_sums, indices))
+        a, step = p.a, p.step
+        table = [0] * a
+        x, dx = 0, p.d % a
+        for s, t in zip(self.digit_sums, range(0, a * step, step)):
+            table[x] = s * a + t
+            x += dx
+            if x >= a:
+                x -= a
+        return tuple(table)
 
     @_cached
     def apery(self) -> AperySet:
         # a and the g_i with R_i < a, that is g_i < a*(step+1), generate the
-        # semigroup (step 6); a list, because tuple() of an iterator shrinks
-        # its result in place, which raised the closed-lib benchmark's peak
-        # RSS by 1-2 MB (Python 3.11)
+        # semigroup (step 6); a list, as tuple() of an iterator shrinks its
+        # result in place, which raised closed-lib's peak RSS 1-2 MB (3.11)
         p = self.source
         bound = p.a * (p.step + 1)
         return AperySet(p.a, self.minima,
@@ -213,20 +227,20 @@ class ClosedEvaluation(Evaluation):
 
     @_cached
     def pf(self) -> tuple[int, ...]:
+        """w_r - a for each class index r that no coin R_i < a - r takes to
+        s(r + R_i) = s(r) + 1, ascending (step 8); builds no Apery set."""
         p = self.source
         n = self.repunit_n
         if n is not None:
             f = self.frobenius  # pseudo_frobenius_closed's F - t*d, t < n-1
             return tuple(range(f - (n - 2) * p.d, f + 1, p.d))
-        return tuple(pseudo_frobenius_from_apery(self.apery))
-
-
-def _class_minima(p: FamilyParams, sums, indices) -> list[int]:
-    # w_r = s(r) * a + r * step for each class index r, the least element
-    # congruent to d*r mod a (steps 2 and 3 above); sums[r] is the greedy
-    # digit sum s(r) over the repunits below a
-    a, step = p.a, p.step
-    return [sums[r] * a + r * step for r in indices]
+        s, a, step = self.digit_sums, p.a, p.step
+        maximal = [r for r, u, v in zip(range(a), s, s[1:]) if v != u + 1]
+        maximal.append(a - 1)
+        for c in list(_repunit_walk(p.b, p.k, a))[-2::-1]:
+            i = bisect_left(maximal, a - c)  # the r >= a - c all pass
+            maximal[:i] = [r for r in maximal[:i] if s[r + c] != s[r] + 1]
+        return tuple([s[r] * a + r * step - a for r in maximal])
 
 
 def residue_minimum(p: FamilyParams, r: int) -> int:
@@ -234,8 +248,8 @@ def residue_minimum(p: FamilyParams, r: int) -> int:
     if not 0 <= check_int(r, "residue index") < p.a:
         raise InvalidParamsError(
             f"residue index {_shown(r)} outside 0..{_shown(p.a - 1)}")
-    s = _repunit_greedy_sum(p.b, p.k, r)
-    return _class_minima(p, {r: s}, (r,))[0]
+    # w_r = s(r)*a + r*step (steps 2 and 3 above)
+    return _repunit_greedy_sum(p.b, p.k, r) * p.a + r * p.step
 
 
 def apery_closed(p: FamilyParams) -> AperySet:
@@ -257,9 +271,9 @@ def genus_closed(p: FamilyParams) -> int:
     """Genus: digit-sum series over classes 1..a-1 plus (a-1)((b-1)a+d-1)/2.
 
     The series sums the table of greedy digit sums that the closed Apery
-    set reads, a entries, so the residue cap applies.  When (a, k) has the
-    repunit shape a = (b^(k+1)-1)/(b-1) the genus is repunit_general_genus
-    instead, with no table and no cap.
+    set and PF read, a entries, so the residue cap applies.  When (a, k)
+    has the repunit shape a = (b^(k+1)-1)/(b-1) the genus is
+    repunit_general_genus instead, with no table and no cap.
     """
     return evaluate(p, "closed").genus
 
@@ -305,7 +319,7 @@ def pseudo_frobenius_closed(b: int, n: int, d: int = 1) -> tuple[list[int], int]
     """Pseudo-Frobenius set {F, F-d, ..., F-(n-2)d} and type n-1.
 
     Only valid at the repunit specialization; for general parameters
-    ClosedEvaluation.pf applies the successor test to the closed Apery set.
+    ClosedEvaluation.pf applies the successor test to the digit sums.
     """
     f = repunit_general_frobenius(b, n, d)
     return sorted(f - t * d for t in range(n - 1)), n - 1
@@ -316,7 +330,7 @@ def report_closed(p: FamilyParams) -> SemigroupReport:
 
     At the repunit shape g, PF and type come from the specialized formulas.
     Otherwise g and PF read the one table of greedy digit sums: g sums it,
-    and PF applies the successor test of pseudo_frobenius_from_apery to the
-    closed Apery set built from it; the residue cap applies.
+    and PF runs the successor test over it in class-index order, with no
+    Apery set built; the residue cap applies.
     """
     return evaluate(p, "closed").report()

@@ -166,7 +166,7 @@ class FamilySpec(_Frozen):
         try:
             allowed, required = _KEYS[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            raise InvalidParamsError(f"unknown family {name!r}; known: "
+            raise InvalidParamsError(f"unknown family {_shown(name)}; known: "
                                      f"{', '.join(FAMILY_NAMES)}") from None
         try:
             params = dict(params)
@@ -177,8 +177,9 @@ class FamilySpec(_Frozen):
             if missing := required - params.keys():
                 raise InvalidParamsError(
                     f"family {name} missing: {', '.join(sorted(missing))}")
-            extra = ", ".join(sorted(k if isinstance(k, str) else _shown(k)
-                                     for k in params.keys() - allowed))
+            extra = ", ".join(sorted(
+                k if isinstance(k, str) and len(k) <= 60 else _shown(k)
+                for k in params.keys() - allowed))
             raise InvalidParamsError(f"family {name} does not take: {extra}")
         fields = vars(self)
         fields["name"], fields["params"] = name, params

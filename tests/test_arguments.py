@@ -184,6 +184,8 @@ HUGE_VALUES = [
     ("residue_minimum r", lambda: residue_minimum(thabit(100000), HUGE)),
     ("gu_ze_tang m", lambda: gu_ze_tang(400, 2**400 + 1)),
     ("GreedyPresentation length", lambda: GreedyPresentation(2, HUGE, (1,))),
+    ("FamilySpec name", lambda: FamilySpec("x" * 5000, {"n": 3})),
+    ("FamilySpec key", lambda: FamilySpec("thabit", {"n": 3, "y" * 3000: 1})),
 ]
 
 

@@ -1,5 +1,6 @@
 """Closed-form evaluator tests: formulas against the oracle and against
 frozen, independently confirmed values."""
+import random
 import time
 import tracemalloc
 from math import gcd
@@ -39,7 +40,8 @@ from apery import (
     thabit,
     thabit_base_b,
 )
-from apery import changemaking, closed_forms
+from apery import changemaking, closed_forms, core
+from apery.cli import main
 from apery.closed_forms import evaluate
 
 import family_ref
@@ -283,6 +285,28 @@ class TestClosedAgainstOracle:
             apery_set(build_generators(p)))
         assert read == [repunit_value(3, 5), repunit_value(3, 4)]
 
+    def test_pf_and_minima_equal_the_oracle_on_a_seeded_sample(self):
+        # the closed PF runs the successor test over the digit sums (step
+        # 8) and the minima are placed by one residue walk; the sample
+        # holds d > a and a < k-1 too
+        rng = random.Random(32)
+        shapes = set()
+        for _ in range(1000):
+            a = rng.randint(2, rng.choice((10, 600)))
+            d = rng.randint(1, 5 * a)
+            if gcd(a, d) != 1:
+                continue
+            p = FamilyParams(a=a, b=rng.randint(2, 8), d=d,
+                             k=rng.randint(1, 12))
+            closed, oracle = evaluate(p, "closed"), evaluate(p, "oracle")
+            assert closed.minima == oracle.apery.minima, p
+            assert closed.pf == oracle.pf, p
+            if d > a:
+                shapes.add("d > a")
+            if a < p.k - 1:
+                shapes.add("a < k-1")
+        assert shapes == {"d > a", "a < k-1"}
+
     def test_sieve_confirmation(self):
         # one case checked against the naive sieve, not just the oracle
         p = FamilyParams(a=7, b=3, d=2, k=2)
@@ -436,6 +460,27 @@ class TestReportClosed:
         assert report.pf == oracle.pf
         assert report.type == oracle.type
         assert report.engine != oracle.engine
+
+    def test_pf_off_the_repunit_shape_builds_no_apery_set(self, monkeypatch,
+                                                          capsys):
+        # PF reads the digit sums alone (step 8): with the oracle's PF step
+        # and every Apery set refused, the library and the CLI still answer
+        p = FamilyParams(a=41, b=3, d=3, k=3)
+        assert repunit_specialization(p) is None
+        pf = semigroup_report(build_generators(p)).pf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed PF built an Apery set")
+
+        monkeypatch.setattr(core, "pseudo_frobenius_from_apery", refuse)
+        monkeypatch.setattr(AperySet, "__init__", refuse)
+        assert evaluate(p, "closed").pf == pf
+        assert report_closed(p).pf == pf
+        assert main(["pf", "--a", "41", "--b", "3", "--d", "3", "--k", "3",
+                     "--engine", "closed"]) == 0
+        assert capsys.readouterr().out == "".join(f"{w}\n" for w in pf)
+        with pytest.raises(AssertionError, match="built an Apery set"):
+            evaluate(p, "closed").apery
 
     def test_matches_oracle_off_repunit_shape_at_large_a(self):
         for p in (thabit(10), gu_ze(3, 6)):

@@ -264,6 +264,10 @@ SPEC_REFUSALS = [
           ("gu-ze", {"b": 2, "n": 0}), ("thabit-base-b", {"b": 2, "n": 0}))),
     ("liu-xin", {"m": 1, "k": 3, "zz": 1, "aa": 2},
      "family liu-xin does not take: aa, zz"),
+    # 60 characters are shown in full; a longer name or key shows its start
+    ("f" * 60, {"n": 3}, f"unknown family '{'f' * 60}'; known: {KNOWN}"),
+    ("thabit", {"n": 3, "k" * 60: 1},
+     f"family thabit does not take: {'k' * 60}"),
 ]
 RESOLVE_REFUSALS = [
     ("mersenne", {"n": 1}, "need mersenne n >= 2, got 1"),

@@ -204,6 +204,19 @@ class TestCrossCheck:
             Mismatch(params, "genus", genus + 1, genus),
             Mismatch(params, "apery[r=15]", minima[15] + 41, minima[15])]
 
+    def test_wrong_digit_sum_is_a_pf_mismatch(self, monkeypatch):
+        # PF reads the digit sums with no Apery set between (closed_forms
+        # step 8): class index 5 one too high leaves w_5 maximal
+        p = FamilyParams(a=41, b=3, d=3, k=3)
+        pf = list(closed_forms.evaluate(p, "oracle").pf)
+        real = closed_forms._greedy_prefix
+        monkeypatch.setattr(closed_forms, "_greedy_prefix",
+                            lambda above, m: real(above, m) + (m == 5))
+        params = (("a", 41), ("b", 3), ("d", 3), ("k", 3))
+        assert pf == [3391, 3394, 3523]
+        assert run_single(p, check_pf=True)[-1] == \
+            Mismatch(params, "pf", [507, *pf], pf)
+
     def test_run_single_at_huge_k(self):
         started = time.perf_counter()
         assert run_single(FamilyParams(a=7, b=2, d=1, k=10**5),
